@@ -1,5 +1,5 @@
-//! The telemetry bench: counter + Grid-in-a-Box on both stacks under full
-//! causal tracing, written out as machine-readable artifacts:
+//! `bench`: counter + Grid-in-a-Box on both stacks under full causal
+//! tracing, written out as machine-readable artifacts:
 //!
 //! * `BENCH_counter.json` — the five counter operations, unsecured and
 //!   X.509-signed, each decomposed into db / security / wire / soap self
@@ -10,9 +10,7 @@
 //! * `BENCH_trace.json` — a Chrome-trace (Perfetto / `chrome://tracing`)
 //!   dump of the signed counter run's span forest.
 //!
-//! Exits nonzero if any of the paper's ordinal claims regressed, so CI can
-//! gate on it. Pass an output directory as the first argument (default:
-//! current directory).
+//! Fails if any of the paper's ordinal claims regressed.
 
 use std::process::ExitCode;
 
@@ -22,15 +20,15 @@ use ogsa_core::grid::GridConfig;
 use ogsa_core::hello::HelloConfig;
 use ogsa_core::report;
 use ogsa_core::security::SecurityPolicy;
-use ogsa_core::telemetry::export::{json_escape, spans_to_chrome_trace};
+use ogsa_core::telemetry::export::spans_to_chrome_trace;
+
+use crate::{json_strings, write_artifact, Gates};
 
 const COUNTER_ITERATIONS: usize = 8;
 const GRID_ITERATIONS: usize = 3;
 const LIFECYCLE_EVENTS: usize = 4;
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-
+pub fn run(out_dir: &str) -> ExitCode {
     let plain = breakdown::counter_breakdown(HelloConfig {
         policy: SecurityPolicy::None,
         iterations: COUNTER_ITERATIONS,
@@ -66,42 +64,25 @@ fn main() -> ExitCode {
         lifecycle.factor()
     );
 
-    let violations_json: Vec<String> = violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect();
     let counter_json = format!(
-        "{{\"benchmark\":\"counter\",\"iterations\":{},\"sections\":{{\"none\":{},\"x509\":{}}},\"demand_lifecycle\":{},\"invariant_violations\":[{}]}}\n",
+        "{{\"benchmark\":\"counter\",\"iterations\":{},\"sections\":{{\"none\":{},\"x509\":{}}},\"demand_lifecycle\":{},\"invariant_violations\":{}}}\n",
         COUNTER_ITERATIONS,
         report::breakdown_rows_json(&plain.rows),
         report::breakdown_rows_json(&signed.rows),
         report::demand_lifecycle_json(&lifecycle),
-        violations_json.join(",")
+        json_strings(&violations)
     );
     let grid_json = format!(
         "{{\"benchmark\":\"gridbox\",\"policy\":\"x509\",\"iterations\":{},\"rows\":{}}}\n",
         GRID_ITERATIONS,
         report::breakdown_rows_json(&grid.rows)
     );
-
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let write = |name: &str, contents: &str| {
-        let path = format!("{out_dir}/{name}");
-        std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    };
-    write("BENCH_counter.json", &counter_json);
-    write("BENCH_gridbox.json", &grid_json);
-    write("BENCH_trace.json", &spans_to_chrome_trace(&signed.spans));
-
-    if violations.is_empty() {
-        println!("paper invariants: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("paper invariants REGRESSED:");
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        ExitCode::FAILURE
-    }
+    write_artifact(out_dir, "BENCH_counter.json", &counter_json);
+    write_artifact(out_dir, "BENCH_gridbox.json", &grid_json);
+    write_artifact(
+        out_dir,
+        "BENCH_trace.json",
+        &spans_to_chrome_trace(&signed.spans),
+    );
+    Gates::violations("paper invariants", &violations).finish()
 }

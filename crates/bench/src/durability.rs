@@ -1,8 +1,8 @@
-//! The durability bench: prices the WAL's fsync policies on real hardware,
+//! `durability`: prices the WAL's fsync policies on real hardware,
 //! times crash recovery, and re-proves the crash-sweep invariants in
 //! release mode, written to `BENCH_durability.json`.
 //!
-//! Gates (exit nonzero on violation):
+//! Gates:
 //!
 //! 1. **Zero lost acked writes / zero half-applied batches** across an
 //!    exhaustive byte-offset crash sweep on the simulated medium.
@@ -17,77 +17,33 @@
 //!    virtual duration under SimDisk and under the durable backend, so
 //!    every virtual-time figure in the repo is bit-identical with
 //!    durability enabled or disabled.
-//!
-//! Pass an output directory as the first argument (default: `.`).
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ogsa_core::sim::{CostModel, VirtualClock};
-use ogsa_core::xml::Element;
-use ogsa_core::xmldb::snapshot::apply_op;
+use ogsa_core::sim::CostModel;
 use ogsa_core::xmldb::wal::WalOp;
-use ogsa_core::xmldb::{
-    encode_store, BackendKind, CrashPoint, Database, DurableBackend, DurableConfig, FsyncPolicy,
-    StoreImage,
+use ogsa_core::xmldb::{BackendKind, CrashPoint, DurableBackend, DurableConfig, FsyncPolicy};
+
+use crate::fixtures::{
+    doc, free_db, per_write_backend, prefix_images, put, puts, run_ops, virtual_elapsed, COLL,
 };
-
-const COLL: &str = "resources";
-
-fn doc(v: i64) -> Element {
-    Element::new("counter").with_child(Element::text_element("value", v.to_string()))
-}
-
-fn fresh_db(backend: Arc<DurableBackend>) -> Database {
-    Database::new(
-        VirtualClock::new(),
-        Arc::new(CostModel::free()),
-        BackendKind::Custom(backend),
-    )
-}
+use crate::{write_artifact, Gates};
 
 /// The sweep workload: singles, a batch, an update, a delete.
-fn run_workload(db: &Database) {
-    let c = db.collection(COLL);
-    for i in 0..5 {
-        c.insert(&format!("k{i}"), doc(i)).unwrap();
-    }
-    c.insert_many((0..6).map(|i| (format!("b{i}"), doc(100 + i))).collect())
-        .unwrap();
-    c.update("k2", doc(22)).unwrap();
-    c.remove("k4");
-}
-
-/// Store image after each op prefix (mirrors the workload above).
-fn prefix_images() -> Vec<Vec<u8>> {
-    let mut ops: Vec<WalOp> = (0..5)
-        .map(|i| WalOp::Put {
-            collection: COLL.to_owned(),
-            key: format!("k{i}"),
-            doc: doc(i),
-        })
-        .collect();
+fn sweep_ops() -> Vec<WalOp> {
+    let mut ops = puts(0, 5);
     ops.push(WalOp::PutBatch {
         collection: COLL.to_owned(),
         entries: (0..6).map(|i| (format!("b{i}"), doc(100 + i))).collect(),
     });
-    ops.push(WalOp::Put {
-        collection: COLL.to_owned(),
-        key: "k2".to_owned(),
-        doc: doc(22),
-    });
+    ops.push(put("k2".to_owned(), 22));
     ops.push(WalOp::Delete {
         collection: COLL.to_owned(),
         key: "k4".to_owned(),
     });
-    let mut image = StoreImage::new();
-    let mut out = vec![encode_store(&image)];
-    for op in &ops {
-        apply_op(&mut image, op);
-        out.push(encode_store(&image));
-    }
-    out
+    ops
 }
 
 struct SweepResult {
@@ -99,27 +55,19 @@ struct SweepResult {
 }
 
 fn crash_once(at: u64) -> (u64, Vec<u8>) {
-    let backend = Arc::new(DurableBackend::sim(DurableConfig {
-        fsync: FsyncPolicy::PerWrite,
-        snapshot_every: 0,
-    }));
+    let backend = per_write_backend();
     backend.sim_medium().unwrap().arm(CrashPoint::AtByte(at));
-    let db = fresh_db(backend.clone());
-    run_workload(&db);
+    run_ops(&free_db(backend.clone()), &sweep_ops());
     let acked = backend.acked_ops();
     backend.recover();
     (acked, backend.encoded_image())
 }
 
 fn crash_sweep() -> SweepResult {
-    let images = prefix_images();
+    let images = prefix_images(&sweep_ops());
     // Clean run sizes the log.
-    let backend = Arc::new(DurableBackend::sim(DurableConfig {
-        fsync: FsyncPolicy::PerWrite,
-        snapshot_every: 0,
-    }));
-    let db = fresh_db(backend.clone());
-    run_workload(&db);
+    let backend = per_write_backend();
+    run_ops(&free_db(backend.clone()), &sweep_ops());
     let total = backend.wal_len();
 
     let mut lost_acked = 0u64;
@@ -176,12 +124,10 @@ fn bench_policy(
         )
         .expect("create bench wal dir"),
     );
-    let db = fresh_db(backend.clone());
-    let c = db.collection(COLL);
+    let db = free_db(backend.clone());
+    let writes = puts(0, ops);
     let start = Instant::now();
-    for i in 0..ops {
-        c.insert(&format!("k{i}"), doc(i as i64)).unwrap();
-    }
+    run_ops(&db, &writes);
     let wall = start.elapsed();
     let _ = std::fs::remove_dir_all(&sub);
     let wall_ms = wall.as_secs_f64() * 1e3;
@@ -203,11 +149,7 @@ fn recovery_time(dir: &std::path::Path, ops: usize) -> (usize, f64) {
     };
     {
         let backend = Arc::new(DurableBackend::file(&sub, cfg).expect("create recovery dir"));
-        let db = fresh_db(backend.clone());
-        let c = db.collection(COLL);
-        for i in 0..ops {
-            c.insert(&format!("k{i}"), doc(i as i64)).unwrap();
-        }
+        run_ops(&free_db(backend.clone()), &puts(0, ops));
     }
     // A brand-new process-equivalent: reopen and replay the whole log.
     let backend = Arc::new(DurableBackend::file(&sub, cfg).expect("reopen recovery dir"));
@@ -218,31 +160,7 @@ fn recovery_time(dir: &std::path::Path, ops: usize) -> (usize, f64) {
     (report.wal_records_replayed, wall_ms)
 }
 
-/// Virtual duration of a fixed workload under `backend`.
-fn virtual_elapsed(backend: BackendKind) -> u64 {
-    let clock = VirtualClock::new();
-    let start = clock.now();
-    let db = Database::new(
-        clock.clone(),
-        Arc::new(CostModel::calibrated_2005()),
-        backend,
-    );
-    let c = db.collection(COLL);
-    for i in 0..20 {
-        c.insert(&format!("k{i}"), doc(i)).unwrap();
-    }
-    c.insert_many((0..10).map(|i| (format!("b{i}"), doc(i))).collect())
-        .unwrap();
-    for i in 0..20 {
-        c.get(&format!("k{i}"));
-    }
-    c.update("k3", doc(33)).unwrap();
-    c.remove("k7");
-    clock.now().since(start).as_micros()
-}
-
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
+pub fn run(out_dir: &str) -> ExitCode {
     let tmp = std::env::temp_dir().join(format!("ogsa-durability-bench-{}", std::process::id()));
 
     // 1+2: the crash sweep and determinism gates.
@@ -296,20 +214,20 @@ fn main() -> ExitCode {
         .find(|r| matches!(r.policy, FsyncPolicy::GroupCommit(_)))
         .map(|r| r.rps)
         .unwrap_or(0.0);
-    let gates: Vec<(&str, bool)> = vec![
-        ("zero_lost_acked_writes", sweep.lost_acked == 0),
-        ("zero_half_applied_batches", sweep.half_applied == 0),
-        ("deterministic_recovery", sweep.deterministic),
-        (
+    let mut gates = Gates::new("durability gates");
+    gates
+        .check("zero_lost_acked_writes", sweep.lost_acked == 0)
+        .check("zero_half_applied_batches", sweep.half_applied == 0)
+        .check("deterministic_recovery", sweep.deterministic)
+        .check(
             "recovery_under_10s",
             replayed == recovery_ops && recovery_ms < 10_000.0,
-        ),
-        (
+        )
+        .check(
             "group_commit_beats_simulated_disk",
             group_commit_rps >= simdisk_rps,
-        ),
-        ("virtual_time_identical", vt_simdisk == vt_durable),
-    ];
+        )
+        .check("virtual_time_identical", vt_simdisk == vt_durable);
 
     let rows_json: Vec<String> = rows
         .iter()
@@ -320,10 +238,6 @@ fn main() -> ExitCode {
             )
         })
         .collect();
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|(name, pass)| format!("{{\"name\":\"{name}\",\"pass\":{pass}}}"))
-        .collect();
     let json = format!(
         concat!(
             "{{\"benchmark\":\"durability\",",
@@ -333,7 +247,7 @@ fn main() -> ExitCode {
             "\"virtual_time\":{{\"simdisk_us\":{},\"durable_us\":{}}},",
             "\"simdisk_implied_rps\":{:.1},",
             "\"throughput\":[{}],",
-            "\"gates\":[{}]}}\n"
+            "{}}}\n"
         ),
         sweep.crash_points,
         sweep.lost_acked,
@@ -347,23 +261,8 @@ fn main() -> ExitCode {
         vt_durable,
         simdisk_rps,
         rows_json.join(","),
-        gates_json.join(",")
+        gates.json()
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_durability.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, pass)| !pass)
-        .map(|(name, _)| *name)
-        .collect();
-    if failed.is_empty() {
-        println!("durability gates: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("durability gates REGRESSED: {}", failed.join(", "));
-        ExitCode::FAILURE
-    }
+    write_artifact(out_dir, "BENCH_durability.json", &json);
+    gates.finish()
 }

@@ -1,11 +1,11 @@
-//! The fan-out bench: wall-clocks the precompiled topic trie against the
+//! `fanout`: wall-clocks the precompiled topic trie against the
 //! retained naive matcher across subscriber counts (1k → 1M) and topic
 //! shapes, sweeps the sharded table's makespan throughput over shard
 //! counts, runs both stacks' delivery cores under their honest batching
 //! rules, and re-proves the cross-cutting invariants in release mode.
 //! Results go to `BENCH_fanout.json`.
 //!
-//! Gates (exit nonzero on violation):
+//! Gates:
 //!
 //! 1. **Trie/naive agreement** on every probe of every (size, shape) cell.
 //! 2. **Trie ≥ 10×** the naive matcher at 100k subscribers and above.
@@ -15,21 +15,20 @@
 //!    delivered).
 //! 4. **Honest batching** — WSN folds envelopes below its delivery count;
 //!    WS-Eventing's envelope count equals its delivery count.
-//! 5. **PR-2 amplification ordinals preserved** — brokered demand still
+//! 5. **Amplification ordinals preserved** — brokered demand still
 //!    amplifies wire messages (≥ 8× per delivered event in the lifecycle
 //!    experiment) over the recosted fan-out path.
 //! 6. **Batched determinism** — a chaotic coalesced WSN run replays
 //!    byte-identically under the same seed and diverges under another.
-//!
-//! Pass an output directory as the first argument (default: `.`).
 
 use std::process::ExitCode;
 
 use ogsa_core::ablation;
 use ogsa_core::comparison::fanout::{batched_span_dump, shard_sweep, stack_fanout, trie_vs_naive};
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
+use crate::{write_artifact, Gates};
+
+pub fn run(out_dir: &str) -> ExitCode {
 
     let trie_rows = trie_vs_naive(&[1_000, 10_000, 100_000, 1_000_000]);
     println!(
@@ -118,22 +117,22 @@ fn main() -> ExitCode {
         .filter(|r| r.stack == "eventing")
         .all(|r| r.envelopes == r.deliveries);
 
-    let gates: Vec<(&str, bool)> = vec![
-        ("trie_agrees_with_naive", trie_rows.iter().all(|r| r.agree)),
-        ("trie_10x_at_100k_subs", min_speedup_at_scale >= 10.0),
-        (
+    let mut gates = Gates::new("fanout gates");
+    gates
+        .check("trie_agrees_with_naive", trie_rows.iter().all(|r| r.agree))
+        .check("trie_10x_at_100k_subs", min_speedup_at_scale >= 10.0)
+        .check(
             "throughput_scales_with_shards",
             shard_16.rps >= 4.0 * shard_1.rps,
-        ),
-        ("notes_shard_count_invariant", notes_invariant),
-        ("wsn_coalesces_envelopes", wsn_folds),
-        ("eventing_envelopes_stay_honest", eventing_honest),
-        (
+        )
+        .check("notes_shard_count_invariant", notes_invariant)
+        .check("wsn_coalesces_envelopes", wsn_folds)
+        .check("eventing_envelopes_stay_honest", eventing_honest)
+        .check(
             "amplification_ordinals_preserved",
             demand.factor() >= 8.0 && broker.factor() > 1.0,
-        ),
-        ("batched_runs_seed_deterministic", deterministic),
-    ];
+        )
+        .check("batched_runs_seed_deterministic", deterministic);
 
     let trie_json: Vec<String> = trie_rows
         .iter()
@@ -185,10 +184,6 @@ fn main() -> ExitCode {
             )
         })
         .collect();
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|(name, pass)| format!("{{\"name\":\"{name}\",\"pass\":{pass}}}"))
-        .collect();
     let json = format!(
         concat!(
             "{{\"benchmark\":\"fanout\",",
@@ -199,7 +194,7 @@ fn main() -> ExitCode {
             "\"broker_factor\":{:.2}}},",
             "\"determinism\":{{\"span_bytes\":{},\"same_seed_identical\":{},",
             "\"cross_seed_distinct\":{}}},",
-            "\"gates\":[{}]}}\n"
+            "{}}}\n"
         ),
         trie_json.join(","),
         shard_json.join(","),
@@ -209,23 +204,8 @@ fn main() -> ExitCode {
         dump_a.len(),
         dump_a == dump_b,
         dump_a != dump_c,
-        gates_json.join(",")
+        gates.json()
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_fanout.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, pass)| !pass)
-        .map(|(name, _)| *name)
-        .collect();
-    if failed.is_empty() {
-        println!("fanout gates: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fanout gates REGRESSED: {}", failed.join(", "));
-        ExitCode::FAILURE
-    }
+    write_artifact(out_dir, "BENCH_fanout.json", &json);
+    gates.finish()
 }

@@ -1,51 +1,162 @@
 //! # ogsa-bench
 //!
-//! Regenerates every quantitative result in the paper:
+//! Regenerates every quantitative result in the paper and runs the CI
+//! bench gates, all through one binary:
 //!
-//! | target | paper artefact |
+//! | `cargo run --release -p ogsa-bench -- …` | output |
 //! |---|---|
-//! | `cargo run --release -p ogsa-bench --bin fig2` | Figure 2 (no security) |
-//! | `cargo run --release -p ogsa-bench --bin fig3` | Figure 3 (HTTPS) |
-//! | `cargo run --release -p ogsa-bench --bin fig4` | Figure 4 (X.509 signing) |
-//! | `cargo run --release -p ogsa-bench --bin fig6` | Figure 6 (Grid-in-a-Box) |
-//! | `cargo run --release -p ogsa-bench --bin broker_messages` | §3.1 demand-based message estimate |
-//! | `cargo run --release -p ogsa-bench --bin ablations` | §4.1.3 mechanism claims |
-//! | `cargo run --release -p ogsa-bench --bin bench` | traced component breakdowns → `BENCH_*.json` + Chrome trace, exits nonzero on ordinal regressions |
+//! | `figures` | Figures 2, 3, 4, 6, the §3.1 broker estimate and the §4.1.3 ablations, one run |
+//! | `figures fig2` / `fig3` / `fig4` | Figure 2 (no security) / 3 (HTTPS) / 4 (X.509 signing) |
+//! | `figures fig6` | Figure 6 (Grid-in-a-Box) |
+//! | `figures broker_messages` | §3.1 demand-based message estimate |
+//! | `figures ablations` | §4.1.3 mechanism claims |
+//! | `bench [dir]` | traced component breakdowns → `BENCH_counter/gridbox/trace.json` |
+//! | `throughput [dir]` | client × shard scaling sweep → `BENCH_throughput.json` |
+//! | `wallclock [dir]` | wire fast path vs in-process baseline → `BENCH_wallclock.json` |
+//! | `loadgen [dir]` | real-socket serving tier → `BENCH_serve.json` |
+//! | `durability [dir]` | WAL crash sweep, recovery, fsync policies → `BENCH_durability.json` |
+//! | `obs [dir]` | observability overhead and fidelity → `BENCH_obs.json` |
+//! | `replication [dir]` | failover sweep and catch-up → `BENCH_replication.json` |
+//! | `fanout [dir]` | topic trie, shard scaling, batching → `BENCH_fanout.json` |
 //!
-//! The Criterion benches (`cargo bench -p ogsa-bench`) measure the *real*
-//! compute cost of this implementation (XML parsing, canonicalisation,
-//! hashing, dispatch) alongside the virtual-time figures.
+//! Every gate subcommand writes its artifacts into `dir` (default `.`)
+//! and exits nonzero when one of its gates fails. Per-layer wall time
+//! for the paper's operations comes from the standalone `perfbench`
+//! package (`--trace 1`).
 
-use ogsa_core::hello::{self, HelloConfig, HelloRow};
-use ogsa_core::report;
-use ogsa_core::security::SecurityPolicy;
+use std::process::ExitCode;
 
-/// Shared driver for the three hello-world figures.
-pub fn print_hello_figure(figure: &str, caption: &str, policy: SecurityPolicy) -> Vec<HelloRow> {
-    let rows = hello::run(HelloConfig {
-        policy,
-        iterations: 12,
-    });
-    println!(
-        "{}",
-        report::render_hello(&format!("{figure}: {caption}"), &rows)
-    );
-    rows
+pub mod bench;
+pub mod durability;
+pub mod fanout;
+pub mod figures;
+pub mod fixtures;
+pub mod loadgen;
+pub mod obs;
+pub mod replication;
+pub mod throughput;
+pub mod wallclock;
+
+/// Every gate subcommand: its name and its entry point, which takes the
+/// output directory.
+pub const GATES: [(&str, fn(&str) -> ExitCode); 8] = [
+    ("bench", bench::run),
+    ("throughput", throughput::run),
+    ("wallclock", wallclock::run),
+    ("loadgen", loadgen::run),
+    ("durability", durability::run),
+    ("obs", obs::run),
+    ("replication", replication::run),
+    ("fanout", fanout::run),
+];
+
+/// A named set of pass/fail checks: renders the `"gates"` JSON array,
+/// prints the verdict line, and turns the verdict into an exit code.
+pub struct Gates {
+    label: &'static str,
+    checks: Vec<(String, bool)>,
 }
 
-/// Print the who-wins summary the paper's text draws from a hello figure.
-pub fn print_hello_summary(rows: &[HelloRow]) {
-    use ogsa_core::comparison::Stack;
-    use ogsa_core::transport::Deployment;
-    let cell = |op, stack, dep| hello::cell(rows, op, stack, dep).unwrap_or(f64::NAN);
-    for dep in Deployment::all() {
-        let set_gap = cell("Set", Stack::Transfer, dep) - cell("Set", Stack::Wsrf, dep);
-        let notify_gap = cell("Notify", Stack::Wsrf, dep) - cell("Notify", Stack::Transfer, dep);
-        println!(
-            "  {}: WSRF.NET faster on Set by {:.1} ms (cache); WS-Eventing faster on Notify by {:.1} ms (TCP)",
-            dep.label(),
-            set_gap,
-            notify_gap
+impl Gates {
+    /// An empty set; `label` heads the verdict line (`"{label}: all hold"`).
+    pub fn new(label: &'static str) -> Self {
+        Gates {
+            label,
+            checks: Vec::new(),
+        }
+    }
+
+    /// One failing check per reported violation.
+    pub fn violations(label: &'static str, violations: &[String]) -> Self {
+        let mut gates = Gates::new(label);
+        for v in violations {
+            gates.check(v.clone(), false);
+        }
+        gates
+    }
+
+    pub fn check(&mut self, name: impl Into<String>, pass: bool) -> &mut Self {
+        self.checks.push((name.into(), pass));
+        self
+    }
+
+    /// True when every check passed.
+    pub fn pass(&self) -> bool {
+        self.checks.iter().all(|(_, pass)| *pass)
+    }
+
+    /// `"gates":[{"name":…,"pass":…},…]`.
+    pub fn json(&self) -> String {
+        let items: Vec<String> = self
+            .checks
+            .iter()
+            .map(|(name, pass)| {
+                format!(
+                    "{{\"name\":\"{}\",\"pass\":{pass}}}",
+                    ogsa_core::telemetry::export::json_escape(name)
+                )
+            })
+            .collect();
+        format!("\"gates\":[{}]", items.join(","))
+    }
+
+    /// Print every check and the verdict (failing checks again on stderr)
+    /// and return the exit code CI gates on.
+    pub fn finish(&self) -> ExitCode {
+        for (name, pass) in &self.checks {
+            println!("  {} {name}", if *pass { "pass" } else { "FAIL" });
+        }
+        if self.pass() {
+            println!("{}: all hold", self.label);
+            return ExitCode::SUCCESS;
+        }
+        eprintln!("{} REGRESSED:", self.label);
+        for (name, _) in self.checks.iter().filter(|(_, pass)| !pass) {
+            eprintln!("  - {name}");
+        }
+        ExitCode::FAILURE
+    }
+}
+
+/// Write one artifact into `out_dir` (created if missing) and say so.
+pub fn write_artifact(out_dir: &str, name: &str, contents: &str) {
+    std::fs::create_dir_all(out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
+    let path = format!("{out_dir}/{name}");
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// `"[\"a\",\"b\"]"`: a JSON array of escaped strings.
+pub fn json_strings(items: &[String]) -> String {
+    let quoted: Vec<String> = items
+        .iter()
+        .map(|s| format!("\"{}\"", ogsa_core::telemetry::export::json_escape(s)))
+        .collect();
+    format!("[{}]", quoted.join(","))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failing_gate_renders_false_and_fails_the_exit_code() {
+        let mut gates = Gates::new("unit gates");
+        gates.check("holds", true).check("regressed", false);
+        assert!(!gates.pass());
+        assert_eq!(
+            gates.json(),
+            "\"gates\":[{\"name\":\"holds\",\"pass\":true},{\"name\":\"regressed\",\"pass\":false}]"
         );
+        assert_eq!(gates.finish(), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn passing_gates_and_empty_violations_succeed() {
+        let mut gates = Gates::new("unit gates");
+        gates.check("holds", true);
+        assert_eq!(gates.finish(), ExitCode::SUCCESS);
+        assert!(Gates::violations("none", &[]).pass());
+        assert!(!Gates::violations("one", &["x".to_owned()]).pass());
     }
 }

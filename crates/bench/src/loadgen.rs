@@ -1,5 +1,5 @@
-//! Socket-level load harness for the serving tier, written out as
-//! `BENCH_serve.json`.
+//! `loadgen`: socket-level load harness for the serving tier, written out
+//! as `BENCH_serve.json`.
 //!
 //! Binds the real keep-alive TCP listener (`ogsa_serve::Server`) over a
 //! span-quiet testbed, deploys the signed WS-Transfer counter, and drives
@@ -19,20 +19,16 @@
 //! server still verifies and re-signs per request, so the per-op crypto
 //! cost matches the in-process harness's server side. Virtual-time
 //! figures are untouched: the serving tier charges no simulated cost.
-//!
-//! Pass an output directory as the first argument (default: current
-//! directory).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use ogsa_core::container::Testbed;
-use ogsa_core::counter::{CounterApi, TransferCounter};
 use ogsa_core::security::SecurityPolicy;
 use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport, ServeConfig, Server};
-use ogsa_core::sim::CostModel;
 use ogsa_core::throughput::{self, ThroughputConfig};
-use ogsa_core::xmldb::BackendKind;
+
+use crate::fixtures::{load_json, run_load, SignedGet};
+use crate::{write_artifact, Gates};
 
 /// The headline concurrency claim: this many keep-alive connections held
 /// open at once, all completing requests, none erroring.
@@ -55,25 +51,14 @@ const P99_MAX_US: u64 = 1_000_000;
 /// run — below saturation, so the tail reflects queueing, not collapse.
 const OPEN_LOAD_FACTOR: f64 = 0.6;
 
-fn run_load(config: &LoadConfig) -> LoadReport {
-    loadgen::run(config).unwrap_or_else(|e| panic!("loadgen run failed: {e}"))
-}
-
 fn report_json(name: &str, r: &LoadReport) -> String {
-    format!(
-        "\"{name}\":{{\"connections\":{},\"established\":{},\"requests\":{},\"errors\":{},\"elapsed_ms\":{:.1},\"rps\":{:.1},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
+    let extra = format!(
+        "\"connections\":{},\"established\":{},\"elapsed_ms\":{:.1},",
         r.connections_requested,
         r.connections_established,
-        r.requests,
-        r.errors,
         r.elapsed.as_secs_f64() * 1_000.0,
-        r.rps,
-        r.mean_us,
-        r.p50_us,
-        r.p99_us,
-        r.p999_us,
-        r.max_us,
-    )
+    );
+    load_json(name, &extra, r)
 }
 
 fn print_report(name: &str, r: &LoadReport) {
@@ -90,31 +75,8 @@ fn print_report(name: &str, r: &LoadReport) {
     );
 }
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-
-    // Span-quiet testbed: the load run completes hundreds of thousands of
-    // requests and must not accumulate a span per dispatch. Metrics still
-    // record; virtual time is free and never advanced by the socket path.
-    let tb = Testbed::new_quiet(CostModel::free(), BackendKind::Memory);
-    let container = tb.container("host-a", SecurityPolicy::X509Sign);
-    let wxf = TransferCounter::deploy(&container);
-    let agent = tb.client("host-b", "CN=loadgen,O=VO", SecurityPolicy::X509Sign);
-    let counter = wxf.client(agent.clone()).create().expect("create counter");
-    wxf.client(agent.clone())
-        .set(&counter, 42)
-        .expect("seed counter");
-
-    // One signed request, replayed verbatim by every connection. The
-    // server verifies the signature and signs its response per request.
-    let (address, wire) = agent.prepare_wire(
-        &counter,
-        ogsa_core::transfer::messages::actions::GET,
-        ogsa_core::transfer::messages::get_request(),
-    );
-    let rest = address.strip_prefix("http://").expect("http address");
-    let slash = rest.find('/').expect("address path");
-    let (host, target) = (rest[..slash].to_owned(), rest[slash..].to_owned());
+pub fn run(out_dir: &str) -> ExitCode {
+    let get = SignedGet::new("CN=loadgen,O=VO", 42);
 
     let granted = loadgen::raise_nofile_limit((SUSTAIN_CONNECTIONS as u64) * 2 + 64);
     if granted < (SUSTAIN_CONNECTIONS as u64) + 32 {
@@ -122,18 +84,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut server = Server::bind(tb.network(), ServeConfig::default()).expect("bind serving tier");
-    let base = LoadConfig {
-        addr: server.addr(),
-        connections: 0,
-        duration: Duration::from_secs(2),
-        warmup: Duration::from_millis(500),
-        mode: LoadMode::Closed,
-        target,
-        host,
-        body: wire,
-        scrape_admin: None,
-    };
+    let mut server =
+        Server::bind(get.tb.network(), ServeConfig::default()).expect("bind serving tier");
+    let base = get.closed_loop(
+        server.addr(),
+        0,
+        Duration::from_secs(2),
+        Duration::from_millis(500),
+    );
 
     println!(
         "serve loadgen (signed WS-Transfer Get, {} workers)",
@@ -163,7 +121,7 @@ fn main() -> ExitCode {
     });
     print_report("open-loop", &open);
 
-    // In-process comparison figure: the PR-4 multi-client harness at the
+    // In-process comparison figure: the multi-client throughput harness at the
     // same client count, measured on the host clock in this process.
     let config = ThroughputConfig {
         policy: SecurityPolicy::X509Sign,
@@ -186,11 +144,26 @@ fn main() -> ExitCode {
     let rps_ratio = in_process_rps / closed32.rps.max(1e-9);
     let sustained = sustain.connections_established == SUSTAIN_CONNECTIONS;
     let errors = sustain.errors + closed32.errors + open.errors;
-    let pass = sustained
-        && errors == 0
-        && rps_ratio <= MAX_RPS_RATIO
-        && closed32.p99_us <= P99_MAX_US
-        && server.stats().dispatch_panics() == 0;
+    let panics = server.stats().dispatch_panics();
+    let mut gates = Gates::new("serve gate");
+    gates
+        .check(
+            format!(
+                "{} of {SUSTAIN_CONNECTIONS} conns sustained",
+                sustain.connections_established
+            ),
+            sustained,
+        )
+        .check(format!("{errors} request errors"), errors == 0)
+        .check(
+            format!("socket rps within {rps_ratio:.2}x of in-process (max {MAX_RPS_RATIO}x)"),
+            rps_ratio <= MAX_RPS_RATIO,
+        )
+        .check(
+            format!("p99 {}us <= {P99_MAX_US}us", closed32.p99_us),
+            closed32.p99_us <= P99_MAX_US,
+        )
+        .check(format!("{panics} dispatch panics"), panics == 0);
 
     let json = format!(
         "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}},\"gate\":{{\"sustain_connections\":{},\"sustained\":{},\"errors\":{},\"max_rps_ratio\":{},\"rps_ratio\":{:.3},\"p99_max_us\":{},\"p99_us\":{},\"pass\":{}}}}}\n",
@@ -205,7 +178,7 @@ fn main() -> ExitCode {
         server.stats().accepted(),
         server.stats().requests(),
         server.stats().http_errors(),
-        server.stats().dispatch_panics(),
+        panics,
         SUSTAIN_CONNECTIONS,
         sustained,
         errors,
@@ -213,28 +186,9 @@ fn main() -> ExitCode {
         rps_ratio,
         P99_MAX_US,
         closed32.p99_us,
-        pass,
+        gates.pass(),
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_serve.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
+    write_artifact(out_dir, "BENCH_serve.json", &json);
     server.shutdown();
-
-    if pass {
-        println!(
-            "serve gate: {SUSTAIN_CONNECTIONS} conns sustained, socket rps within {rps_ratio:.2}x of in-process (max {MAX_RPS_RATIO}x), p99 {}us <= {P99_MAX_US}us",
-            closed32.p99_us
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "serve gate FAILED: sustained={sustained} ({} of {SUSTAIN_CONNECTIONS}), errors={errors}, rps_ratio={rps_ratio:.2} (max {MAX_RPS_RATIO}), p99={}us (max {P99_MAX_US}us), panics={}",
-            sustain.connections_established,
-            closed32.p99_us,
-            server.stats().dispatch_panics(),
-        );
-        ExitCode::FAILURE
-    }
+    gates.finish()
 }

@@ -1,4 +1,4 @@
-//! Observability-plane harness: overhead, scrape fidelity, exemplar
+//! `obs`: observability-plane harness — overhead, scrape fidelity, exemplar
 //! completeness, and virtual-time determinism — written out as
 //! `BENCH_obs.json`.
 //!
@@ -22,21 +22,19 @@
 //!    on shared CI hosts, where round-to-round drift alone exceeds 10%.
 //! 4. **Determinism** — the same-seed virtual-time JSONL span dump is
 //!    byte-identical with the flight recorder (and wall clocks) enabled.
-//!
-//! Pass an output directory as the first argument (default: current
-//! directory).
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use ogsa_core::container::Testbed;
-use ogsa_core::counter::{CounterApi, TransferCounter, WsrfCounter};
+use ogsa_core::counter::{CounterApi, WsrfCounter};
 use ogsa_core::security::SecurityPolicy;
-use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport, ObsConfig, ServeConfig, Server};
-use ogsa_core::sim::CostModel;
+use ogsa_core::serve::{loadgen, LoadConfig, LoadReport, ObsConfig, ServeConfig, Server};
 use ogsa_core::telemetry::export::spans_to_jsonl;
 use ogsa_core::telemetry::FlightRecorder;
-use ogsa_core::xmldb::BackendKind;
+
+use crate::fixtures::{load_json, run_load, SignedGet};
+use crate::{write_artifact, Gates};
 
 /// Connections for each measured round (closed loop).
 const CONNECTIONS: usize = 16;
@@ -47,17 +45,6 @@ const WARMUP: Duration = Duration::from_millis(300);
 const ROUNDS: usize = 3;
 /// Instrumentation may cost at most this fraction of rps or p99.
 const MAX_REGRESSION: f64 = 0.05;
-
-fn run_load(config: &LoadConfig) -> LoadReport {
-    loadgen::run(config).unwrap_or_else(|e| panic!("loadgen run failed: {e}"))
-}
-
-fn report_json(name: &str, r: &LoadReport) -> String {
-    format!(
-        "\"{name}\":{{\"requests\":{},\"errors\":{},\"rps\":{:.1},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
-        r.requests, r.errors, r.rps, r.mean_us, r.p50_us, r.p99_us, r.p999_us, r.max_us,
-    )
-}
 
 /// Run the deterministic virtual-time counter scenario and dump its span
 /// forest as JSONL. With `observe` set, wall-clock stamping is on and the
@@ -90,33 +77,16 @@ fn virtual_dump(observe: bool) -> String {
     spans_to_jsonl(&tb.telemetry().take_spans())
 }
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-
-    // Span-quiet testbed (the flight recorder's captures still see spans:
-    // capture works on a disabled instance without filling its store).
-    let tb = Testbed::new_quiet(CostModel::free(), BackendKind::Memory);
-    let container = tb.container("host-a", SecurityPolicy::X509Sign);
-    let wxf = TransferCounter::deploy(&container);
-    let agent = tb.client("host-b", "CN=obs,O=VO", SecurityPolicy::X509Sign);
-    let counter = wxf.client(agent.clone()).create().expect("create counter");
-    wxf.client(agent.clone())
-        .set(&counter, 7)
-        .expect("seed counter");
-    let (address, wire) = agent.prepare_wire(
-        &counter,
-        ogsa_core::transfer::messages::actions::GET,
-        ogsa_core::transfer::messages::get_request(),
-    );
-    let rest = address.strip_prefix("http://").expect("http address");
-    let slash = rest.find('/').expect("address path");
-    let (host, target) = (rest[..slash].to_owned(), rest[slash..].to_owned());
-
+pub fn run(out_dir: &str) -> ExitCode {
+    // The flight recorder's captures still see spans on the span-quiet
+    // testbed: capture works on a disabled instance without filling its
+    // store.
+    let get = SignedGet::new("CN=obs,O=VO", 7);
     loadgen::raise_nofile_limit((CONNECTIONS as u64) * 4 + 256);
 
     // Stripped server: the pre-observability dispatch path.
     let stripped_server = Server::bind(
-        tb.network(),
+        get.tb.network(),
         ServeConfig {
             observe: ObsConfig::disabled(),
             ..ServeConfig::default()
@@ -124,17 +94,7 @@ fn main() -> ExitCode {
     )
     .expect("bind stripped server");
 
-    let base = LoadConfig {
-        addr: stripped_server.addr(),
-        connections: CONNECTIONS,
-        duration: ROUND,
-        warmup: WARMUP,
-        mode: LoadMode::Closed,
-        target,
-        host,
-        body: wire,
-        scrape_admin: None,
-    };
+    let base = get.closed_loop(stripped_server.addr(), CONNECTIONS, ROUND, WARMUP);
 
     println!("obs bench: calibrating slow threshold from a stripped round");
     let calibration = run_load(&base);
@@ -150,7 +110,7 @@ fn main() -> ExitCode {
     // retained trace is evicted during the measured rounds (eviction
     // would orphan exemplars and void the completeness gate).
     let instrumented_server = Server::bind(
-        tb.network(),
+        get.tb.network(),
         ServeConfig {
             observe: ObsConfig {
                 slow_threshold_us,
@@ -256,12 +216,26 @@ fn main() -> ExitCode {
         plain.len()
     );
 
-    let pass = overhead_ok
-        && scrape_ok
-        && exemplars_complete
-        && trace_endpoint_ok
-        && deterministic
-        && errors == 0;
+    let mut gates = Gates::new("obs gate");
+    gates
+        .check(
+            format!(
+                "best paired rps ratio {:.3} (min {:.2}), p99 {}us <= {}us",
+                best.rps_ratio,
+                1.0 - MAX_REGRESSION,
+                instrumented.p99_us,
+                best.p99_limit_us
+            ),
+            overhead_ok,
+        )
+        .check("mid-run scrape consistent", scrape_ok)
+        .check(
+            format!("{} exemplars complete", exemplars.len()),
+            exemplars_complete,
+        )
+        .check("/debug/trace serves the recorder", trace_endpoint_ok)
+        .check("virtual-time dumps identical", deterministic)
+        .check(format!("{errors} request errors"), errors == 0);
 
     let scrape = instrumented.scrape.as_ref().unwrap();
     let rounds_json = pairs
@@ -281,9 +255,9 @@ fn main() -> ExitCode {
         .collect::<Vec<_>>()
         .join(",");
     let json = format!(
-        "{{\"benchmark\":\"obs\",\"workload\":\"signed transfer get\",\"connections\":{CONNECTIONS},\"rounds\":[{rounds_json}],{},{},\"slow_threshold_us\":{slow_threshold_us},\"flight\":{{\"traces\":{},\"slow\":{slow_retained},\"exemplars\":{},\"complete\":{exemplars_complete},\"debug_trace_ok\":{trace_endpoint_ok}}},\"scrape\":{{\"mid_run_parsed\":{},\"mid_run_server_requests\":{},\"final_server_requests\":{},\"consistent\":{scrape_ok}}},\"determinism\":{{\"jsonl_bytes\":{},\"identical\":{deterministic}}},\"gate\":{{\"max_regression\":{MAX_REGRESSION},\"best_rps_ratio\":{:.4},\"overhead_ok\":{overhead_ok},\"errors\":{errors},\"pass\":{pass}}}}}\n",
-        report_json("stripped", stripped),
-        report_json("instrumented", instrumented),
+        "{{\"benchmark\":\"obs\",\"workload\":\"signed transfer get\",\"connections\":{CONNECTIONS},\"rounds\":[{rounds_json}],{},{},\"slow_threshold_us\":{slow_threshold_us},\"flight\":{{\"traces\":{},\"slow\":{slow_retained},\"exemplars\":{},\"complete\":{exemplars_complete},\"debug_trace_ok\":{trace_endpoint_ok}}},\"scrape\":{{\"mid_run_parsed\":{},\"mid_run_server_requests\":{},\"final_server_requests\":{},\"consistent\":{scrape_ok}}},\"determinism\":{{\"jsonl_bytes\":{},\"identical\":{deterministic}}},\"gate\":{{\"max_regression\":{MAX_REGRESSION},\"best_rps_ratio\":{:.4},\"overhead_ok\":{overhead_ok},\"errors\":{errors},\"pass\":{}}}}}\n",
+        load_json("stripped", "", stripped),
+        load_json("instrumented", "", instrumented),
         traces.len(),
         exemplars.len(),
         scrape.mid_run_parsed,
@@ -291,29 +265,8 @@ fn main() -> ExitCode {
         scrape.final_server_requests,
         plain.len(),
         best.rps_ratio,
+        gates.pass(),
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_obs.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    if pass {
-        println!(
-            "obs gate: best paired rps ratio {:.3} (min {:.2}), p99 {}us <= {}us, scrape consistent, {} exemplars complete, deterministic dumps",
-            best.rps_ratio,
-            1.0 - MAX_REGRESSION,
-            instrumented.p99_us,
-            best.p99_limit_us,
-            exemplars.len(),
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "obs gate FAILED: overhead_ok={overhead_ok} (best ratio {:.3}, p99 {}us vs limit {}us), scrape_ok={scrape_ok}, exemplars_complete={exemplars_complete}, debug_trace_ok={trace_endpoint_ok}, deterministic={deterministic}, errors={errors}",
-            best.rps_ratio,
-            instrumented.p99_us,
-            best.p99_limit_us,
-        );
-        ExitCode::FAILURE
-    }
+    write_artifact(out_dir, "BENCH_obs.json", &json);
+    gates.finish()
 }

@@ -1,8 +1,8 @@
-//! The replication bench: re-proves the failover theorems in release mode,
+//! `replication`: re-proves the failover theorems in release mode,
 //! times replica catch-up on wall clock, and checks the virtual-time
 //! invariance of shipping, written to `BENCH_replication.json`.
 //!
-//! Gates (exit nonzero on violation):
+//! Gates:
 //!
 //! 1. **Zero lost quorum-acked writes** — a partition sweep over every
 //!    replication-record boundary (replica first, then the primary),
@@ -18,28 +18,18 @@
 //!    bit-identical with replication enabled.
 //! 4. **Deterministic failover** — the full partition sweep, run twice,
 //!    produces byte-identical converged images at every boundary.
-//!
-//! Pass an output directory as the first argument (default: `.`).
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ogsa_core::sim::{CostModel, VirtualClock};
-use ogsa_core::xml::Element;
 use ogsa_core::xmldb::repl::{promote, LoopbackFabric, ReplConfig, ReplicaNode, Replicator};
-use ogsa_core::xmldb::snapshot::apply_op;
-use ogsa_core::xmldb::wal::WalOp;
-use ogsa_core::xmldb::{
-    encode_store, BackendKind, Database, DurableBackend, DurableConfig, FsyncPolicy, StoreImage,
-};
+use ogsa_core::xmldb::{encode_store, BackendKind, Database, DurableBackend, DurableConfig, FsyncPolicy};
 
-const COLL: &str = "resources";
+use crate::fixtures::{free_db, per_write_backend, prefix_images, puts, run_ops, virtual_elapsed};
+use crate::{write_artifact, Gates};
+
 const PRIMARY: &str = "primary";
-
-fn doc(v: i64) -> Element {
-    Element::new("counter").with_child(Element::text_element("value", v.to_string()))
-}
 
 struct Cluster {
     db: Database,
@@ -49,15 +39,8 @@ struct Cluster {
 }
 
 fn cluster() -> Cluster {
-    let backend = Arc::new(DurableBackend::sim(DurableConfig {
-        fsync: FsyncPolicy::PerWrite,
-        snapshot_every: 0,
-    }));
-    let db = Database::new(
-        VirtualClock::new(),
-        Arc::new(CostModel::free()),
-        BackendKind::Custom(backend.clone()),
-    );
+    let backend = per_write_backend();
+    let db = free_db(backend.clone());
     let fabric = LoopbackFabric::new();
     let mut replicas = Vec::new();
     for id in ["r1", "r2"] {
@@ -80,34 +63,6 @@ fn cluster() -> Cluster {
     }
 }
 
-fn workload_ops(n: usize) -> Vec<WalOp> {
-    (0..n)
-        .map(|i| WalOp::Put {
-            collection: COLL.to_owned(),
-            key: format!("k{i}"),
-            doc: doc(i as i64),
-        })
-        .collect()
-}
-
-fn run_workload(db: &Database, lo: usize, hi: usize) {
-    let c = db.collection(COLL);
-    for i in lo..hi {
-        c.insert(&format!("k{i}"), doc(i as i64)).unwrap();
-    }
-}
-
-/// Image after each whole-op prefix of `workload_ops(n)`.
-fn prefix_images(n: usize) -> Vec<Vec<u8>> {
-    let mut image = StoreImage::new();
-    let mut out = vec![encode_store(&image)];
-    for op in &workload_ops(n) {
-        apply_op(&mut image, op);
-        out.push(encode_store(&image));
-    }
-    out
-}
-
 struct SweepResult {
     boundaries: u64,
     lost_acked: u64,
@@ -119,12 +74,12 @@ struct SweepResult {
 /// the longest-acked survivor, rejoin the deposed primary, and report
 /// whether anything quorum-acked was lost or any member diverged.
 fn failover_at(part1: usize, part2: usize, j: u64) -> (bool, bool, Vec<u8>) {
-    let images = prefix_images(part1 + part2);
+    let images = prefix_images(&puts(0, part1 + part2));
     let cl = cluster();
-    run_workload(&cl.db, 0, part1);
+    run_ops(&cl.db, &puts(0, part1));
     cl.fabric.sever_after(PRIMARY, "r1", 2.min(j));
     cl.fabric.sever_after(PRIMARY, "r2", j);
-    run_workload(&cl.db, part1, part1 + part2);
+    run_ops(&cl.db, &puts(part1, part1 + part2));
     cl.fabric.sever(PRIMARY, "r1");
     cl.fabric.sever(PRIMARY, "r2");
     let watermark = cl.repl.quorum_acked_seq();
@@ -194,9 +149,9 @@ fn failover_sweep(part1: usize, part2: usize) -> SweepResult {
 fn catch_up_wall(base_ops: usize, suffix_ops: usize) -> (bool, f64) {
     let cl = cluster();
     cl.fabric.sever(PRIMARY, "r2");
-    run_workload(&cl.db, 0, base_ops);
+    run_ops(&cl.db, &puts(0, base_ops));
     cl.repl.compact();
-    run_workload(&cl.db, base_ops, base_ops + suffix_ops);
+    run_ops(&cl.db, &puts(base_ops, base_ops + suffix_ops));
     cl.fabric.heal(PRIMARY, "r2");
     let start = Instant::now();
     let ok = cl.repl.catch_up("r2");
@@ -208,15 +163,8 @@ fn catch_up_wall(base_ops: usize, suffix_ops: usize) -> (bool, f64) {
 
 /// Virtual duration of a fixed calibrated workload, with or without a
 /// replication tap on the durable backend.
-fn virtual_elapsed(replicate: bool) -> u64 {
-    let clock = VirtualClock::new();
-    let start = clock.now();
+fn virtual_elapsed_replicated(replicate: bool) -> u64 {
     let backend = Arc::new(DurableBackend::sim(DurableConfig::default()));
-    let db = Database::new(
-        clock.clone(),
-        Arc::new(CostModel::calibrated_2005()),
-        BackendKind::Custom(backend.clone()),
-    );
     let _repl = replicate.then(|| {
         let fabric = LoopbackFabric::new();
         fabric.register("r1", ReplicaNode::new(FsyncPolicy::PerWrite));
@@ -230,22 +178,10 @@ fn virtual_elapsed(replicate: bool) -> u64 {
         backend.set_observer(repl.clone());
         repl
     });
-    let c = db.collection(COLL);
-    for i in 0..20 {
-        c.insert(&format!("k{i}"), doc(i)).unwrap();
-    }
-    c.insert_many((0..10).map(|i| (format!("b{i}"), doc(i))).collect())
-        .unwrap();
-    for i in 0..20 {
-        c.get(&format!("k{i}"));
-    }
-    c.update("k3", doc(33)).unwrap();
-    c.remove("k7");
-    clock.now().since(start).as_micros()
+    virtual_elapsed(BackendKind::Custom(backend))
 }
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
+pub fn run(out_dir: &str) -> ExitCode {
 
     // 1 + 4: the partition-boundary failover sweep, twice, for the
     // zero-loss and determinism gates.
@@ -259,8 +195,8 @@ fn main() -> ExitCode {
     let (caught_up, catch_up_ms) = catch_up_wall(base_ops, suffix_ops);
 
     // 3: virtual time must not notice the replication tap.
-    let vt_plain = virtual_elapsed(false);
-    let vt_replicated = virtual_elapsed(true);
+    let vt_plain = virtual_elapsed_replicated(false);
+    let vt_replicated = virtual_elapsed_replicated(true);
 
     println!(
         "failover sweep: {} boundaries, {} lost acked, {} diverged, deterministic: {}",
@@ -274,18 +210,14 @@ fn main() -> ExitCode {
         "virtual time: plain {vt_plain} µs vs replicated {vt_replicated} µs (must be identical)"
     );
 
-    let gates: Vec<(&str, bool)> = vec![
-        ("zero_lost_acked_writes", sweep.lost_acked == 0),
-        ("single_history_convergence", sweep.diverged == 0),
-        ("deterministic_failover", deterministic),
-        ("catch_up_under_10s", caught_up && catch_up_ms < 10_000.0),
-        ("virtual_time_identical", vt_plain == vt_replicated),
-    ];
+    let mut gates = Gates::new("replication gates");
+    gates
+        .check("zero_lost_acked_writes", sweep.lost_acked == 0)
+        .check("single_history_convergence", sweep.diverged == 0)
+        .check("deterministic_failover", deterministic)
+        .check("catch_up_under_10s", caught_up && catch_up_ms < 10_000.0)
+        .check("virtual_time_identical", vt_plain == vt_replicated);
 
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|(name, pass)| format!("{{\"name\":\"{name}\",\"pass\":{pass}}}"))
-        .collect();
     let json = format!(
         concat!(
             "{{\"benchmark\":\"replication\",",
@@ -293,7 +225,7 @@ fn main() -> ExitCode {
             "\"deterministic\":{}}},",
             "\"catch_up\":{{\"base_ops\":{},\"suffix_ops\":{},\"wall_ms\":{:.3},\"complete\":{}}},",
             "\"virtual_time\":{{\"plain_us\":{},\"replicated_us\":{}}},",
-            "\"gates\":[{}]}}\n"
+            "{}}}\n"
         ),
         sweep.boundaries,
         sweep.lost_acked,
@@ -305,23 +237,8 @@ fn main() -> ExitCode {
         caught_up,
         vt_plain,
         vt_replicated,
-        gates_json.join(",")
+        gates.json()
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_replication.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, pass)| !pass)
-        .map(|(name, _)| *name)
-        .collect();
-    if failed.is_empty() {
-        println!("replication gates: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("replication gates REGRESSED: {}", failed.join(", "));
-        ExitCode::FAILURE
-    }
+    write_artifact(out_dir, "BENCH_replication.json", &json);
+    gates.finish()
 }

@@ -1,19 +1,17 @@
-//! Wall-clock (host CPU) bench for the wire pipeline, written out as
+//! `wallclock`: host-CPU bench for the wire pipeline, written out as
 //! `BENCH_wallclock.json`.
 //!
-//! Virtual-time figures (every other `BENCH_*.json`) are invariant under
-//! this PR by construction; this binary measures the real time the pipeline
-//! burns. Each stage is measured twice **in the same process**: the fast
+//! Virtual-time figures (every other `BENCH_*.json`) never see the wire
+//! fast path; this subcommand measures the real time the pipeline burns. Each stage is measured twice **in the same process**: the fast
 //! path as shipped, and a faithful reconstruction of the pre-optimisation
 //! pipeline (tree-clone serialisation, the two-pass reference parser,
 //! buffered canonicalisation, `wire_size` computed by serialising). The
 //! recorded baseline therefore moves with the host, keeping the speedup
 //! ratio meaningful on any machine.
 //!
-//! Exits nonzero if the signed counter round-trip is not at least
+//! Fails if the signed counter round-trip is not at least
 //! [`MIN_SIGNED_SPEEDUP`]x faster than the in-process baseline, so CI gates
-//! on the fast path staying fast. Pass an output directory as the first
-//! argument (default: current directory).
+//! on the fast path staying fast.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -27,6 +25,8 @@ use ogsa_core::throughput::{self, ThroughputConfig};
 use ogsa_core::xml::{
     canonicalize, canonicalize_into, parse, pooled_string, reference, CanonSink, Element,
 };
+
+use crate::{write_artifact, Gates};
 
 /// The gate: the shipped signed round-trip must beat the pre-optimisation
 /// pipeline by at least this factor.
@@ -160,10 +160,10 @@ fn streamed_digest(e: &Element) -> [u8; 32] {
     sink.finalize()
 }
 
-/// The pre-optimisation signing pipeline, reconstructed from the code this
-/// PR replaced: `wire_size` serialises the whole envelope, every digest
-/// canonicalises into a fresh buffer on the scalar SHA-256 rounds (the
-/// hardware compression path is part of this PR), hex goes through the
+/// The pre-optimisation signing pipeline, reconstructed from the code the
+/// fast path replaced: `wire_size` serialises the whole envelope, every
+/// digest canonicalises into a fresh buffer on the scalar SHA-256 rounds
+/// (the hardware compression path is part of the fast path), hex goes through the
 /// formatting machinery, and the signature MAC buffers the canonical
 /// `SignedInfo`. The MAC key is a fixed dummy (the real secret is
 /// crate-private); key material does not change the work profile.
@@ -212,7 +212,7 @@ mod baseline {
     }
 
     pub fn sign(env: &mut Envelope, cert: &Certificate) {
-        // Pre-PR `wire_size` serialised the envelope to count its bytes.
+        // The old `wire_size` serialised the envelope to count its bytes.
         let _size = env.to_element().into_document_string().len();
         let (body_digest, headers_digest) = digest_body_and_headers(env);
         let signed_info = Element::new(QName::new(ns::DS, "SignedInfo"))
@@ -256,7 +256,7 @@ mod baseline {
     }
 
     pub fn verify(env: &Envelope) -> bool {
-        // Pre-PR `verify_envelope` also charged off a serialising wire_size.
+        // The old `verify_envelope` also charged off a serialising wire_size.
         let _size = env.to_element().into_document_string().len();
         let Some(security) = env.header(&QName::new(ns::WSSE, "Security")) else {
             return false;
@@ -357,9 +357,7 @@ fn stage_json(name: &str, samples: &Samples) -> String {
     )
 }
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-
+pub fn run(out_dir: &str) -> ExitCode {
     // Stage 1: parse.
     let wire = request_envelope().to_wire();
     let parse_samples = measure_pair(
@@ -447,6 +445,11 @@ fn main() -> ExitCode {
         real_rps
     );
 
+    let mut gates = Gates::new("wallclock gate");
+    gates.check(
+        format!("signed round-trip {signed_speedup:.2}x >= {MIN_SIGNED_SPEEDUP}x"),
+        signed_speedup >= MIN_SIGNED_SPEEDUP,
+    );
     let json = format!(
         "{{\"benchmark\":\"wallclock\",\"stages\":{{{},{},{},{}}},\"throughput\":{{\"workload\":\"counter\",\"policy\":\"x509\",\"clients\":{},\"shards\":8,\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"gate\":{{\"signed_roundtrip_min_speedup\":{},\"signed_roundtrip_speedup\":{:.3},\"pass\":{}}}}}\n",
         stage_json("parse", &parse_samples),
@@ -459,20 +462,8 @@ fn main() -> ExitCode {
         real_rps,
         MIN_SIGNED_SPEEDUP,
         signed_speedup,
-        signed_speedup >= MIN_SIGNED_SPEEDUP,
+        gates.pass(),
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_wallclock.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    if signed_speedup >= MIN_SIGNED_SPEEDUP {
-        println!("wallclock gate: signed round-trip {signed_speedup:.2}x >= {MIN_SIGNED_SPEEDUP}x");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "wallclock gate REGRESSED: signed round-trip {signed_speedup:.2}x < {MIN_SIGNED_SPEEDUP}x"
-        );
-        ExitCode::FAILURE
-    }
+    write_artifact(out_dir, "BENCH_wallclock.json", &json);
+    gates.finish()
 }

@@ -12,14 +12,16 @@
 //!   latency is measured from the *scheduled* arrival, so queueing delay
 //!   is charged to the server the way an outside observer would see it.
 //!
-//! Latencies land in a log-bucketed histogram (HDR-style: power-of-two
-//! groups split into 32 sub-buckets, ≤ ~3% relative error) so p50/p99/
-//! p999 come out of a fixed 2 KB table no matter how many requests run.
+//! Latencies land in the server's own [`WallHistogram`] (HDR-style log
+//! buckets, ≤ ~3% relative error) so p50/p99/p999 come out of a fixed
+//! table no matter how many requests run.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+use ogsa_telemetry::{WallHistogram, WallSnapshot};
 
 /// How requests are issued.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,95 +99,6 @@ pub struct LoadReport {
     pub max_us: u64,
     /// Present when [`LoadConfig::scrape_admin`] was set.
     pub scrape: Option<ScrapeCheck>,
-}
-
-// ---- log-bucket latency histogram ------------------------------------------
-
-const SUB_BITS: u32 = 5;
-const SUB: u64 = 1 << SUB_BITS;
-const BUCKETS: usize = 2048;
-
-/// Fixed-size log-bucket histogram over microsecond values.
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-fn bucket_of(us: u64) -> usize {
-    let v = us.max(1);
-    let msb = 63 - v.leading_zeros() as u64;
-    if msb <= SUB_BITS as u64 {
-        v as usize
-    } else {
-        let shift = msb - SUB_BITS as u64;
-        let sub = (v >> shift) & (SUB - 1);
-        (((msb - SUB_BITS as u64) << SUB_BITS) + SUB + sub) as usize
-    }
-}
-
-fn bucket_floor(idx: usize) -> u64 {
-    if idx < (2 * SUB as usize) {
-        idx as u64
-    } else {
-        let g = (idx >> SUB_BITS) as u64 - 1;
-        let sub = (idx & (SUB as usize - 1)) as u64;
-        (SUB + sub) << g
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    pub fn new() -> Self {
-        LatencyHistogram {
-            counts: vec![0; BUCKETS],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    pub fn record(&mut self, us: u64) {
-        self.counts[bucket_of(us).min(BUCKETS - 1)] += 1;
-        self.total += 1;
-        self.sum += us;
-        self.max = self.max.max(us);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    pub fn mean_us(&self) -> u64 {
-        self.sum.checked_div(self.total).unwrap_or(0)
-    }
-
-    pub fn max_us(&self) -> u64 {
-        self.max
-    }
-
-    /// Value at quantile `q` in [0, 1]: the floor of the bucket holding
-    /// the q-th observation (≤ ~3% below the true value).
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_floor(idx);
-            }
-        }
-        self.max
-    }
 }
 
 // ---- RLIMIT_NOFILE ---------------------------------------------------------
@@ -349,7 +262,7 @@ pub fn run(config: &LoadConfig) -> io::Result<LoadReport> {
 fn finish(
     config: &LoadConfig,
     established: usize,
-    hist: &LatencyHistogram,
+    hist: &WallSnapshot,
     errors: u64,
     measured: Duration,
 ) -> LoadReport {
@@ -357,15 +270,15 @@ fn finish(
     LoadReport {
         connections_requested: config.connections,
         connections_established: established,
-        requests: hist.count(),
+        requests: hist.count,
         errors,
         elapsed: measured,
-        rps: hist.count() as f64 / secs,
+        rps: hist.count as f64 / secs,
         mean_us: hist.mean_us(),
         p50_us: hist.quantile_us(0.50),
         p99_us: hist.quantile_us(0.99),
         p999_us: hist.quantile_us(0.999),
-        max_us: hist.max_us(),
+        max_us: hist.max_us,
         scrape: None,
     }
 }
@@ -399,7 +312,7 @@ mod imp {
         let start = Instant::now();
         let measure_from = start + config.warmup;
         let deadline = measure_from + config.duration;
-        let mut hist = LatencyHistogram::new();
+        let hist = WallHistogram::new();
         let mut errors = 0u64;
 
         // Closed loop: prime one request per connection. Open loop: the
@@ -476,14 +389,14 @@ mod imp {
                         template,
                         open_interval.is_some(),
                         measure_from,
-                        &mut hist,
+                        &hist,
                         &mut errors,
                     );
                 }
             }
         }
         let measured = Instant::now().saturating_duration_since(measure_from);
-        Ok(finish(config, established, &hist, errors, measured))
+        Ok(finish(config, established, &hist.snapshot(), errors, measured))
     }
 
     fn interest(c: &ClientConn) -> u32 {
@@ -558,7 +471,7 @@ mod imp {
         template: &[u8],
         open_loop: bool,
         measure_from: Instant,
-        hist: &mut LatencyHistogram,
+        hist: &WallHistogram,
         errors: &mut u64,
     ) {
         // Read everything available.
@@ -637,10 +550,10 @@ mod imp {
             let addr = config.addr;
             let template = template.to_vec();
             threads.push(std::thread::spawn(move || {
-                let mut hist = LatencyHistogram::new();
+                let hist = WallHistogram::new();
                 let mut errors = 0u64;
                 let Ok(mut stream) = TcpStream::connect(addr) else {
-                    return (hist, 1u64, false);
+                    return (hist.snapshot(), 1u64, false);
                 };
                 let _ = stream.set_nodelay(true);
                 let mut rbuf = Vec::new();
@@ -687,20 +600,15 @@ mod imp {
                         hist.record(done.saturating_duration_since(scheduled).as_micros() as u64);
                     }
                 }
-                (hist, errors, true)
+                (hist.snapshot(), errors, true)
             }));
         }
-        let mut hist = LatencyHistogram::new();
+        let mut hist = WallSnapshot::empty();
         let mut errors = 0u64;
         let mut established = 0usize;
         for t in threads {
             if let Ok((h, e, ok)) = t.join() {
-                for (idx, &c) in h.counts.iter().enumerate() {
-                    for _ in 0..c {
-                        hist.record(super::bucket_floor(idx));
-                    }
-                }
-                hist.max = hist.max.max(h.max);
+                hist.merge(&h);
                 errors += e;
                 established += ok as usize;
             }
@@ -713,45 +621,6 @@ mod imp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_monotone_and_consistent() {
-        let mut last = 0;
-        for v in [1u64, 2, 31, 32, 63, 64, 100, 1000, 65_535, 1 << 20, 1 << 40] {
-            let idx = bucket_of(v);
-            assert!(idx >= last, "bucket_of not monotone at {v}");
-            last = idx;
-            let floor = bucket_floor(idx);
-            assert!(floor <= v, "floor {floor} above value {v}");
-            // Relative error bound from 5 sub-bucket bits: <= 1/32.
-            assert!(
-                (v - floor) as f64 <= v as f64 / 32.0 + 1.0,
-                "floor {floor} too far below {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantiles_come_from_the_right_tail() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..99 {
-            h.record(100);
-        }
-        h.record(100_000);
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 100);
-        assert!(h.quantile_us(0.99) <= 100_000);
-        let p999 = h.quantile_us(0.999);
-        assert!(p999 > 90_000, "p999 {p999} missed the outlier");
-        assert_eq!(h.max_us(), 100_000);
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroes() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile_us(0.99), 0);
-        assert_eq!(h.mean_us(), 0);
-    }
 
     #[test]
     fn parse_response_frames_exactly() {

@@ -6,9 +6,9 @@
 //! virtual-time state, so a run observed through this module is
 //! byte-identical to one that is not.
 //!
-//! * [`bucket_of`]/[`bucket_floor`] — the log-bucket scheme shared with
-//!   the load generator (power-of-two groups split into 32 sub-buckets,
-//!   ≤ ~3% relative error, 2048 fixed buckets).
+//! * [`bucket_of`]/[`bucket_floor`] — the log-bucket scheme (power-of-two
+//!   groups split into 32 sub-buckets, ≤ ~3% relative error, 2048 fixed
+//!   buckets).
 //! * [`WallHistogram`] — one **lock-free** histogram shard: plain relaxed
 //!   atomics, no locks, no allocation after construction. Each serving
 //!   worker owns one shard and records into it without ever synchronising
@@ -323,6 +323,30 @@ mod tests {
                 "floor {floor} too far below {v}"
             );
         }
+    }
+
+    #[test]
+    fn quantiles_come_from_the_right_tail() {
+        let h = WallHistogram::new();
+        for _ in 0..99 {
+            h.record(100);
+        }
+        h.record(100_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 100);
+        assert_eq!(snap.quantile_us(0.50), 100);
+        assert!(snap.quantile_us(0.99) <= 100_000);
+        let p999 = snap.quantile_us(0.999);
+        assert!(p999 > 90_000, "p999 {p999} missed the outlier");
+        assert_eq!(snap.max_us, 100_000);
+    }
+
+    #[test]
+    fn empty_histogram_is_zeroes() {
+        let snap = WallHistogram::new().snapshot();
+        assert_eq!(snap.quantile_us(0.99), 0);
+        assert_eq!(snap.mean_us(), 0);
+        assert_eq!(snap, WallSnapshot::empty());
     }
 
     #[test]
