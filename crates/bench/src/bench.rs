@@ -22,7 +22,7 @@ use ogsa_core::report;
 use ogsa_core::security::SecurityPolicy;
 use ogsa_core::telemetry::export::spans_to_chrome_trace;
 
-use crate::{json_strings, write_artifact, Gates};
+use crate::{json_array, json_string, write_artifact, Gates};
 
 const COUNTER_ITERATIONS: usize = 8;
 const GRID_ITERATIONS: usize = 3;
@@ -70,7 +70,7 @@ pub fn run(out_dir: &str) -> ExitCode {
         report::breakdown_rows_json(&plain.rows),
         report::breakdown_rows_json(&signed.rows),
         report::demand_lifecycle_json(&lifecycle),
-        json_strings(&violations)
+        json_array(&violations, |v| json_string(v))
     );
     let grid_json = format!(
         "{{\"benchmark\":\"gridbox\",\"policy\":\"x509\",\"iterations\":{},\"rows\":{}}}\n",

@@ -29,7 +29,7 @@ use ogsa_core::xmldb::{BackendKind, CrashPoint, DurableBackend, DurableConfig, F
 use crate::fixtures::{
     doc, free_db, per_write_backend, prefix_images, put, puts, run_ops, virtual_elapsed, COLL,
 };
-use crate::{write_artifact, Gates};
+use crate::{json_array, write_artifact, Gates};
 
 /// The sweep workload: singles, a batch, an update, a delete.
 fn sweep_ops() -> Vec<WalOp> {
@@ -229,15 +229,12 @@ pub fn run(out_dir: &str) -> ExitCode {
         )
         .check("virtual_time_identical", vt_simdisk == vt_durable);
 
-    let rows_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"policy\":\"{}\",\"ops\":{},\"wall_ms\":{:.3},\"rps\":{:.1}}}",
-                r.label, r.ops, r.wall_ms, r.rps
-            )
-        })
-        .collect();
+    let rows_json = json_array(&rows, |r| {
+        format!(
+            "{{\"policy\":\"{}\",\"ops\":{},\"wall_ms\":{:.3},\"rps\":{:.1}}}",
+            r.label, r.ops, r.wall_ms, r.rps
+        )
+    });
     let json = format!(
         concat!(
             "{{\"benchmark\":\"durability\",",
@@ -246,7 +243,7 @@ pub fn run(out_dir: &str) -> ExitCode {
             "\"recovery\":{{\"ops\":{},\"replayed\":{},\"wall_ms\":{:.3}}},",
             "\"virtual_time\":{{\"simdisk_us\":{},\"durable_us\":{}}},",
             "\"simdisk_implied_rps\":{:.1},",
-            "\"throughput\":[{}],",
+            "\"throughput\":{},",
             "{}}}\n"
         ),
         sweep.crash_points,
@@ -260,7 +257,7 @@ pub fn run(out_dir: &str) -> ExitCode {
         vt_simdisk,
         vt_durable,
         simdisk_rps,
-        rows_json.join(","),
+        rows_json,
         gates.json()
     );
     write_artifact(out_dir, "BENCH_durability.json", &json);

@@ -26,10 +26,9 @@ use std::process::ExitCode;
 use ogsa_core::ablation;
 use ogsa_core::comparison::fanout::{batched_span_dump, shard_sweep, stack_fanout, trie_vs_naive};
 
-use crate::{write_artifact, Gates};
+use crate::{json_array, write_artifact, Gates};
 
 pub fn run(out_dir: &str) -> ExitCode {
-
     let trie_rows = trie_vs_naive(&[1_000, 10_000, 100_000, 1_000_000]);
     println!(
         "{:>10} {:>9} {:>7} {:>9} {:>12} {:>12} {:>9}  agree",
@@ -134,71 +133,56 @@ pub fn run(out_dir: &str) -> ExitCode {
         )
         .check("batched_runs_seed_deterministic", deterministic);
 
-    let trie_json: Vec<String> = trie_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"subscribers\":{},\"shape\":\"{}\",\"probes\":{},\"matches\":{},",
-                    "\"trie_wall_us\":{:.1},\"naive_wall_us\":{:.1},\"speedup\":{:.2},",
-                    "\"agree\":{}}}"
-                ),
-                r.subscribers,
-                r.shape.key(),
-                r.probes,
-                r.matches,
-                r.trie_wall_us,
-                r.naive_wall_us,
-                r.speedup(),
-                r.agree
-            )
-        })
-        .collect();
-    let shard_json: Vec<String> = shard_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"shards\":{},\"subscribers\":{},\"events\":{},\"notes\":{},",
-                    "\"max_busy_us\":{},\"contentions\":{},\"rps\":{:.1}}}"
-                ),
-                r.shards, r.subscribers, r.events, r.notes, r.max_busy_us, r.contentions, r.rps
-            )
-        })
-        .collect();
-    let stack_json: Vec<String> = stack_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"stack\":\"{}\",\"subscribers\":{},\"events\":{},\"deliveries\":{},",
-                    "\"envelopes\":{},\"virtual_us\":{},\"wall_ms\":{:.3}}}"
-                ),
-                r.stack,
-                r.subscribers,
-                r.events,
-                r.deliveries,
-                r.envelopes,
-                r.virtual_us,
-                r.wall_ms
-            )
-        })
-        .collect();
+    let trie_json = json_array(&trie_rows, |r| {
+        format!(
+            concat!(
+                "{{\"subscribers\":{},\"shape\":\"{}\",\"probes\":{},\"matches\":{},",
+                "\"trie_wall_us\":{:.1},\"naive_wall_us\":{:.1},\"speedup\":{:.2},",
+                "\"agree\":{}}}"
+            ),
+            r.subscribers,
+            r.shape.key(),
+            r.probes,
+            r.matches,
+            r.trie_wall_us,
+            r.naive_wall_us,
+            r.speedup(),
+            r.agree
+        )
+    });
+    let shard_json = json_array(&shard_rows, |r| {
+        format!(
+            concat!(
+                "{{\"shards\":{},\"subscribers\":{},\"events\":{},\"notes\":{},",
+                "\"max_busy_us\":{},\"contentions\":{},\"rps\":{:.1}}}"
+            ),
+            r.shards, r.subscribers, r.events, r.notes, r.max_busy_us, r.contentions, r.rps
+        )
+    });
+    let stack_json = json_array(&stack_rows, |r| {
+        format!(
+            concat!(
+                "{{\"stack\":\"{}\",\"subscribers\":{},\"events\":{},\"deliveries\":{},",
+                "\"envelopes\":{},\"virtual_us\":{},\"wall_ms\":{:.3}}}"
+            ),
+            r.stack, r.subscribers, r.events, r.deliveries, r.envelopes, r.virtual_us, r.wall_ms
+        )
+    });
     let json = format!(
         concat!(
             "{{\"benchmark\":\"fanout\",",
-            "\"trie\":[{}],",
-            "\"shard_sweep\":[{}],",
-            "\"stacks\":[{}],",
+            "\"trie\":{},",
+            "\"shard_sweep\":{},",
+            "\"stacks\":{},",
             "\"amplification\":{{\"demand_lifecycle_factor\":{:.2},",
             "\"broker_factor\":{:.2}}},",
             "\"determinism\":{{\"span_bytes\":{},\"same_seed_identical\":{},",
             "\"cross_seed_distinct\":{}}},",
             "{}}}\n"
         ),
-        trie_json.join(","),
-        shard_json.join(","),
-        stack_json.join(","),
+        trie_json,
+        shard_json,
+        stack_json,
         demand.factor(),
         broker.factor(),
         dump_a.len(),

@@ -1,16 +1,18 @@
 //! Fixtures shared between subcommands: the store workloads behind the
-//! `durability` and `replication` gates, and the signed-Get load run
-//! behind `loadgen` and `obs`.
+//! `durability` and `replication` gates, the signed-Get load run behind
+//! `loadgen` and `obs`, and the in-process throughput figure `wallclock`
+//! and `loadgen` report.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ogsa_core::container::Testbed;
 use ogsa_core::counter::{CounterApi, TransferCounter};
 use ogsa_core::security::SecurityPolicy;
 use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport};
 use ogsa_core::sim::{CostModel, VirtualClock};
+use ogsa_core::throughput::{self, ThroughputConfig};
 use ogsa_core::transfer::messages::{actions, get_request};
 use ogsa_core::xml::Element;
 use ogsa_core::xmldb::snapshot::apply_op;
@@ -178,4 +180,21 @@ pub fn load_json(name: &str, extra: &str, r: &LoadReport) -> String {
         "\"{name}\":{{{extra}\"requests\":{},\"errors\":{},\"rps\":{:.1},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
         r.requests, r.errors, r.rps, r.mean_us, r.p50_us, r.p99_us, r.p999_us, r.max_us,
     )
+}
+
+/// Host-clock run of the in-process multi-client harness on the signed
+/// counter workload at `clients` clients and 8 shards: the requests it
+/// completed and the wall time they took.
+pub fn in_process_throughput(clients: usize) -> (u64, Duration) {
+    let config = ThroughputConfig {
+        policy: SecurityPolicy::X509Sign,
+        clients: vec![clients],
+        shards: vec![8],
+        iterations: 4,
+        grid_clients: vec![],
+        grid_shards: vec![],
+    };
+    let start = Instant::now();
+    let rows = throughput::run(&config);
+    (rows.iter().map(|r| r.requests).sum(), start.elapsed())
 }

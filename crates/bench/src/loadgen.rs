@@ -21,13 +21,11 @@
 //! figures are untouched: the serving tier charges no simulated cost.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ogsa_core::security::SecurityPolicy;
 use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport, ServeConfig, Server};
-use ogsa_core::throughput::{self, ThroughputConfig};
 
-use crate::fixtures::{load_json, run_load, SignedGet};
+use crate::fixtures::{in_process_throughput, load_json, run_load, SignedGet};
 use crate::{write_artifact, Gates};
 
 /// The headline concurrency claim: this many keep-alive connections held
@@ -123,18 +121,7 @@ pub fn run(out_dir: &str) -> ExitCode {
 
     // In-process comparison figure: the multi-client throughput harness at the
     // same client count, measured on the host clock in this process.
-    let config = ThroughputConfig {
-        policy: SecurityPolicy::X509Sign,
-        clients: vec![COMPARE_CLIENTS],
-        shards: vec![8],
-        iterations: 4,
-        grid_clients: vec![],
-        grid_shards: vec![],
-    };
-    let wall_start = Instant::now();
-    let rows = throughput::run(&config);
-    let wall = wall_start.elapsed();
-    let in_process_requests: u64 = rows.iter().map(|r| r.requests).sum();
+    let (in_process_requests, wall) = in_process_throughput(COMPARE_CLIENTS);
     let in_process_rps = in_process_requests as f64 / wall.as_secs_f64();
     println!(
         "  in-process {COMPARE_CLIENTS} clients: {in_process_requests} reqs in {:.0}ms = {in_process_rps:.0} rps",
@@ -147,23 +134,11 @@ pub fn run(out_dir: &str) -> ExitCode {
     let panics = server.stats().dispatch_panics();
     let mut gates = Gates::new("serve gate");
     gates
-        .check(
-            format!(
-                "{} of {SUSTAIN_CONNECTIONS} conns sustained",
-                sustain.connections_established
-            ),
-            sustained,
-        )
-        .check(format!("{errors} request errors"), errors == 0)
-        .check(
-            format!("socket rps within {rps_ratio:.2}x of in-process (max {MAX_RPS_RATIO}x)"),
-            rps_ratio <= MAX_RPS_RATIO,
-        )
-        .check(
-            format!("p99 {}us <= {P99_MAX_US}us", closed32.p99_us),
-            closed32.p99_us <= P99_MAX_US,
-        )
-        .check(format!("{panics} dispatch panics"), panics == 0);
+        .check("sustained", sustained)
+        .check("zero_errors", errors == 0)
+        .check("rps_ratio_within_max", rps_ratio <= MAX_RPS_RATIO)
+        .check("p99_under_max", closed32.p99_us <= P99_MAX_US)
+        .check("zero_dispatch_panics", panics == 0);
 
     let json = format!(
         "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}},\"gate\":{{\"sustain_connections\":{},\"sustained\":{},\"errors\":{},\"max_rps_ratio\":{},\"rps_ratio\":{:.3},\"p99_max_us\":{},\"p99_us\":{},\"pass\":{}}}}}\n",

@@ -7,23 +7,23 @@ use ogsa_bench::{figures, GATES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (name, arg) = (args.first().map(String::as_str), args.get(1));
-    if name == Some("figures") {
-        return figures::run(arg.map(String::as_str));
+    let (name, arg) = (
+        args.first().map(String::as_str),
+        args.get(1).map(String::as_str),
+    );
+    if name == Some("figures") && figures::run(arg) {
+        return ExitCode::SUCCESS;
     }
-    match GATES.iter().find(|(gate, _)| Some(*gate) == name) {
-        Some((_, run)) => run(arg.map_or(".", String::as_str)),
-        None => {
-            let gates: Vec<&str> = GATES.iter().map(|(gate, _)| *gate).collect();
-            eprintln!(
-                "ogsa-bench: unknown subcommand {:?}\n\
-                 usage: ogsa-bench figures [{}]\n       \
-                 ogsa-bench {{{}}} [out-dir]",
-                name.unwrap_or(""),
-                figures::NAMES.join("|"),
-                gates.join("|")
-            );
-            ExitCode::from(2)
-        }
+    if let Some((_, run)) = GATES.iter().find(|(gate, _)| Some(*gate) == name) {
+        return run(arg.unwrap_or("."));
     }
+    let gates: Vec<&str> = GATES.iter().map(|(gate, _)| *gate).collect();
+    eprintln!(
+        "ogsa-bench: unknown arguments {args:?}\n\
+         usage: ogsa-bench figures [{}]\n       \
+         ogsa-bench {{{}}} [out-dir]",
+        figures::NAMES,
+        gates.join("|")
+    );
+    ExitCode::from(2)
 }

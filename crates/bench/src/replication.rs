@@ -24,7 +24,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ogsa_core::xmldb::repl::{promote, LoopbackFabric, ReplConfig, ReplicaNode, Replicator};
-use ogsa_core::xmldb::{encode_store, BackendKind, Database, DurableBackend, DurableConfig, FsyncPolicy};
+use ogsa_core::xmldb::{
+    encode_store, BackendKind, Database, DurableBackend, DurableConfig, FsyncPolicy,
+};
 
 use crate::fixtures::{free_db, per_write_backend, prefix_images, puts, run_ops, virtual_elapsed};
 use crate::{write_artifact, Gates};
@@ -182,7 +184,6 @@ fn virtual_elapsed_replicated(replicate: bool) -> u64 {
 }
 
 pub fn run(out_dir: &str) -> ExitCode {
-
     // 1 + 4: the partition-boundary failover sweep, twice, for the
     // zero-loss and determinism gates.
     let (part1, part2) = (4, 10);

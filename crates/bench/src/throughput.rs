@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 use ogsa_core::throughput::{self, ThroughputConfig};
 
-use crate::{json_strings, write_artifact, Gates};
+use crate::{json_array, json_string, write_artifact, Gates};
 
 pub fn run(out_dir: &str) -> ExitCode {
     let config = ThroughputConfig::default();
@@ -39,7 +39,7 @@ pub fn run(out_dir: &str) -> ExitCode {
         "{{\"benchmark\":\"throughput\",\"iterations\":{},\"model\":\"makespan\",\"rows\":{},\"invariant_violations\":{}}}\n",
         config.iterations,
         throughput::rows_json(&rows),
-        json_strings(&violations)
+        json_array(&violations, |v| json_string(v))
     );
     write_artifact(out_dir, "BENCH_throughput.json", &json);
     Gates::violations("scaling invariants", &violations).finish()

@@ -18,14 +18,14 @@ use std::time::Instant;
 
 use ogsa_core::addressing::{EndpointReference, MessageHeaders};
 use ogsa_core::security::sha256::Sha256;
-use ogsa_core::security::{sign_envelope, verify_envelope, CertStore, SecurityPolicy};
+use ogsa_core::security::{sign_envelope, verify_envelope, CertStore};
 use ogsa_core::sim::{CostModel, VirtualClock};
 use ogsa_core::soap::Envelope;
-use ogsa_core::throughput::{self, ThroughputConfig};
 use ogsa_core::xml::{
     canonicalize, canonicalize_into, parse, pooled_string, reference, CanonSink, Element,
 };
 
+use crate::fixtures::in_process_throughput;
 use crate::{write_artifact, Gates};
 
 /// The gate: the shipped signed round-trip must beat the pre-optimisation
@@ -409,18 +409,7 @@ pub fn run(out_dir: &str) -> ExitCode {
 
     // Real (host) throughput of the multi-client harness, signed, at the
     // acceptance client count.
-    let config = ThroughputConfig {
-        policy: SecurityPolicy::X509Sign,
-        clients: vec![THROUGHPUT_CLIENTS],
-        shards: vec![8],
-        iterations: 4,
-        grid_clients: vec![],
-        grid_shards: vec![],
-    };
-    let wall_start = Instant::now();
-    let rows = throughput::run(&config);
-    let wall = wall_start.elapsed();
-    let requests: u64 = rows.iter().map(|r| r.requests).sum();
+    let (requests, wall) = in_process_throughput(THROUGHPUT_CLIENTS);
     let real_rps = requests as f64 / wall.as_secs_f64();
 
     println!("wallclock wire pipeline (ns/op, in-process baseline vs fast path)");

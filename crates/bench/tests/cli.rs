@@ -4,81 +4,47 @@
 use std::collections::BTreeSet;
 use std::process::Command;
 
+use ogsa_bench::{figures, GATES};
+
 const BIN: &str = env!("CARGO_BIN_EXE_ogsa-bench");
 
 /// Every key path in a JSON document: object keys join with `.`, array
 /// elements append `[]` (`rows[].stack`).
 fn key_paths(json: &str) -> BTreeSet<String> {
-    struct Walk<'a> {
-        s: &'a [u8],
-        i: usize,
-        paths: BTreeSet<String>,
-    }
-    impl Walk<'_> {
-        fn peek(&mut self) -> u8 {
-            while self.s[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-            self.s[self.i]
-        }
-        fn string(&mut self) -> String {
-            let start = self.i + 1;
-            self.i = start;
-            while self.s[self.i] != b'"' {
-                self.i += if self.s[self.i] == b'\\' { 2 } else { 1 };
-            }
-            self.i += 1;
-            String::from_utf8_lossy(&self.s[start..self.i - 1]).into_owned()
-        }
-        /// Consume `,` (or nothing) before the next member; true at `close`.
-        fn next_member(&mut self, close: u8) -> bool {
-            if self.peek() == b',' {
-                self.i += 1;
-            }
-            let done = self.peek() == close;
-            self.i += usize::from(done);
-            done
-        }
-        fn value(&mut self, path: &str) {
-            match self.peek() {
-                b'{' => {
-                    self.i += 1;
-                    while !self.next_member(b'}') {
-                        let key = self.string();
-                        let child = match path {
-                            "" => key,
-                            _ => format!("{path}.{key}"),
-                        };
-                        assert_eq!(self.peek(), b':');
-                        self.i += 1;
-                        self.value(&child);
-                        self.paths.insert(child);
+    let (mut paths, mut open, mut value) = (BTreeSet::new(), Vec::<String>::new(), String::new());
+    let mut chars = json.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => {
+                let mut s = String::new();
+                while let Some(c) = chars.next() {
+                    match c {
+                        '\\' => s.extend(chars.next()),
+                        '"' => break,
+                        c => s.push(c),
                     }
                 }
-                b'[' => {
-                    self.i += 1;
-                    while !self.next_member(b']') {
-                        self.value(&format!("{path}[]"));
-                    }
-                }
-                b'"' => {
-                    self.string();
-                }
-                _ => {
-                    while !matches!(self.s[self.i], b',' | b'}' | b']') {
-                        self.i += 1;
-                    }
+                if chars.peek() == Some(&':') {
+                    value = match open.last().map(String::as_str) {
+                        Some("") | None => s,
+                        Some(object) => format!("{object}.{s}"),
+                    };
+                    paths.insert(value.clone());
                 }
             }
+            '{' => open.push(value.clone()),
+            '[' => {
+                value.push_str("[]");
+                open.push(value.clone());
+            }
+            '}' | ']' => drop(open.pop()),
+            ',' if open.last().is_some_and(|p| p.ends_with("[]")) => {
+                value = open.last().unwrap().clone()
+            }
+            _ => {}
         }
     }
-    let mut walk = Walk {
-        s: json.as_bytes(),
-        i: 0,
-        paths: BTreeSet::new(),
-    };
-    walk.value("");
-    walk.paths
+    paths
 }
 
 fn assert_keys(dir: &std::path::Path, file: &str, rows: &[&str], row_keys: &[&str], top: &[&str]) {
@@ -103,23 +69,14 @@ fn key_path_walker_sees_nested_objects_and_arrays() {
 
 #[test]
 fn unknown_subcommand_fails_and_lists_the_valid_ones() {
-    let out = Command::new(BIN).arg("no-such-gate").output().unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    for name in [
-        "figures",
-        "fig2",
-        "ablations",
-        "bench",
-        "throughput",
-        "wallclock",
-        "loadgen",
-        "durability",
-        "obs",
-        "replication",
-        "fanout",
-    ] {
-        assert!(stderr.contains(name), "usage misses {name}: {stderr}");
+    for args in [&["no-such-gate"][..], &["figures", "fig5"]] {
+        let out = Command::new(BIN).args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let gates = GATES.iter().map(|(gate, _)| *gate);
+        for name in gates.chain(figures::NAMES.split('|')).chain(["figures"]) {
+            assert!(stderr.contains(name), "usage misses {name}: {stderr}");
+        }
     }
 }
 
@@ -127,8 +84,8 @@ fn unknown_subcommand_fails_and_lists_the_valid_ones() {
 fn virtual_time_gates_write_their_pinned_key_paths() {
     let dir = std::env::temp_dir().join(format!("ogsa-bench-cli-{}", std::process::id()));
     for gate in ["bench", "throughput"] {
-        let status = Command::new(BIN).arg(gate).arg(&dir).status().unwrap();
-        assert!(status.success(), "{gate} gate failed");
+        let out = Command::new(BIN).arg(gate).arg(&dir).output().unwrap();
+        assert!(out.status.success(), "{gate} gate failed: {out:?}");
     }
     let breakdown = [
         "operation",

@@ -28,7 +28,7 @@ struct ContainerInner {
     identity: Identity,
     cert_store: CertStore,
     lifetime: LifetimeManager,
-    services: RwLock<HashMap<String, Arc<dyn WebService>>>,
+    services: RwLock<HashMap<String, Arc<Deployment>>>,
     msg_seq: AtomicU64,
     /// Redelivery policy handed to every service agent's one-way sends —
     /// how this container's notification producers survive a lossy wire.
@@ -36,6 +36,12 @@ struct ContainerInner {
     /// Retry policy for service agents' request/response outcalls —
     /// how this container's server-to-server invokes survive a lossy wire.
     call_retry: RwLock<Option<RetryPolicy>>,
+}
+
+/// A deployed service and the context its requests run in.
+struct Deployment {
+    service: Arc<dyn WebService>,
+    ctx: OperationContext,
 }
 
 /// One application-hosting environment on one host (ASP.NET + our
@@ -189,17 +195,31 @@ impl Container {
 
     /// Deploy `service` at `path` (e.g. `/services/CounterService`); returns
     /// the service EPR.
+    ///
+    /// The network's handler holds the container and the service only
+    /// weakly: the network is reachable from both (through service
+    /// agents), so a strong reference would keep a whole testbed alive
+    /// forever. Once the container is gone the endpoint answers a fault.
     pub fn deploy(&self, path: &str, service: Arc<dyn WebService>) -> EndpointReference {
         let address = self.address_of(path);
+        let deployment = Arc::new(Deployment {
+            service,
+            ctx: self.context_for(path),
+        });
+        let (container, weak) = (Arc::downgrade(&self.inner), Arc::downgrade(&deployment));
         self.inner
             .services
             .write()
-            .insert(path.to_owned(), service.clone());
+            .insert(path.to_owned(), deployment);
 
-        let this = self.clone();
-        let ctx = self.context_for(path);
+        let gone = format!("service {address} is no longer deployed");
         let handler: ogsa_transport::net::Handler =
-            Arc::new(move |req: Envelope| this.pipeline(&ctx, &service, req));
+            Arc::new(
+                move |req: Envelope| match (container.upgrade(), weak.upgrade()) {
+                    (Some(inner), Some(d)) => Container { inner }.pipeline(&d.ctx, &d.service, req),
+                    _ => Envelope::new(Fault::server(gone.clone()).to_element()),
+                },
+            );
         self.inner.network.bind(&address, handler);
         EndpointReference::service(address)
     }
@@ -428,6 +448,25 @@ mod tests {
             client.invoke(&epr, "urn:x", Element::new("In")),
             Err(InvokeError::Transport(_))
         ));
+    }
+
+    #[test]
+    fn a_dropped_container_answers_a_fault_instead_of_leaking() {
+        let tb = Testbed::free();
+        let epr = tb
+            .container("host-a", SecurityPolicy::None)
+            .deploy("/services/Echo", echo_service());
+        // The client keeps the network alive; the testbed was the only
+        // owner of the container.
+        let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
+        client
+            .invoke(&epr, "urn:test/Ping", Element::new("In"))
+            .unwrap();
+        drop(tb);
+        match client.invoke(&epr, "urn:test/Ping", Element::new("In")) {
+            Err(InvokeError::Fault(f)) => assert!(f.reason.contains("no longer deployed")),
+            other => panic!("expected a fault, got {other:?}"),
+        }
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub struct Testbed {
     durable_cfg: Option<DurableConfig>,
     durables: Arc<Mutex<HashMap<String, Arc<DurableBackend>>>>,
     dbs: Arc<Mutex<HashMap<String, Database>>>,
+    /// Every container built here. The network binds their services only
+    /// weakly, so this is what keeps them serving for the testbed's life.
+    containers: Arc<Mutex<Vec<Container>>>,
 }
 
 impl Testbed {
@@ -71,6 +74,7 @@ impl Testbed {
             durable_cfg: None,
             durables: Arc::new(Mutex::new(HashMap::new())),
             dbs: Arc::new(Mutex::new(HashMap::new())),
+            containers: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -212,14 +216,16 @@ impl Testbed {
                     self.network.telemetry().clone(),
                     self.db_config,
                 );
-                let stats_db = db.clone();
+                // The collector holds the counters, not the database: the
+                // database holds this telemetry, and a cycle through the
+                // registry would never be freed.
+                let stats = db.stats().clone();
                 let stats_host = host.to_owned();
                 let shards = db.config().shards;
                 self.network
                     .telemetry()
                     .metrics()
                     .register_collector(move |snap| {
-                        let stats = stats_db.stats();
                         for (name, value) in stats.snapshot() {
                             snap.set_gauge(&format!("db.{name}"), &[("host", &stats_host)], value);
                         }
@@ -259,12 +265,15 @@ impl Testbed {
             .expect("with_replicas requires with_durable (the WAL is what ships)");
         self.db(primary);
         let set = ReplicaSet::new(self.clone(), primary, replicas, cfg.fsync);
-        let stats = set.clone();
+        // Weak: the set holds this testbed, whose telemetry holds the
+        // collector.
+        let stats = Arc::downgrade(&set);
         self.network
             .telemetry()
             .metrics()
             .register_collector(move |snap| {
-                let repl = stats.replicator();
+                let Some(set) = stats.upgrade() else { return };
+                let repl = set.replicator();
                 snap.set_gauge("repl.term", &[], repl.term());
                 snap.set_gauge("repl.quorum_acked_seq", &[], repl.quorum_acked_seq());
                 snap.set_gauge(
@@ -289,7 +298,7 @@ impl Testbed {
     /// A container on `host` under `policy`, with its own service identity.
     pub fn container(&self, host: &str, policy: SecurityPolicy) -> Container {
         let identity = self.ca.issue(&format!("CN=container,O=VO,OU={host}"));
-        Container::new(
+        let container = Container::new(
             host.to_owned(),
             policy,
             self.network.clone(),
@@ -298,7 +307,9 @@ impl Testbed {
             self.model.clone(),
             identity,
             self.cert_store.clone(),
-        )
+        );
+        self.containers.lock().push(container.clone());
+        container
     }
 
     /// A client agent on `host` with a freshly-issued identity for `dn`.

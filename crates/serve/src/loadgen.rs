@@ -396,7 +396,13 @@ mod imp {
             }
         }
         let measured = Instant::now().saturating_duration_since(measure_from);
-        Ok(finish(config, established, &hist.snapshot(), errors, measured))
+        Ok(finish(
+            config,
+            established,
+            &hist.snapshot(),
+            errors,
+            measured,
+        ))
     }
 
     fn interest(c: &ClientConn) -> u32 {

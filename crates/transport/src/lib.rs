@@ -28,7 +28,7 @@ pub mod stats;
 
 pub use error::TransportError;
 pub use fault::{DeadLetter, FaultDecision, FaultKind, FaultPlan, Partition};
-pub use net::{Network, Port};
+pub use net::{Network, Port, WeakNetwork};
 pub use retry::RetryPolicy;
 pub use stats::{NetStats, NetStatsSnapshot};
 

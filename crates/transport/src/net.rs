@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crossbeam::channel::{unbounded, Sender};
 use ogsa_sim::rng::mix64;
@@ -164,6 +164,17 @@ pub struct Network {
     inner: Arc<NetInner>,
 }
 
+/// A handle on a [`Network`] that does not keep it alive.
+#[derive(Clone)]
+pub struct WeakNetwork(Weak<NetInner>);
+
+impl WeakNetwork {
+    /// The network, unless every [`Network`] handle is gone.
+    pub fn upgrade(&self) -> Option<Network> {
+        self.0.upgrade().map(|inner| Network { inner })
+    }
+}
+
 impl Network {
     pub fn new(clock: VirtualClock, model: Arc<CostModel>) -> Self {
         let tel = Telemetry::new(clock.clone());
@@ -203,14 +214,14 @@ impl Network {
     fn start_oneway_worker(&self) {
         let (tx, rx) = unbounded::<OnewayJob>();
         *self.inner.oneway_tx.lock() = Some(tx);
-        // Weak reference: the worker must not keep the network alive.
-        let weak = Arc::downgrade(&self.inner);
+        // Weak reference: the worker must not keep the network alive. It
+        // exits once the network (and with it the only sender) is gone.
+        let weak = self.downgrade();
         std::thread::Builder::new()
             .name("ogsa-oneway-delivery".into())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let Some(inner) = weak.upgrade() else { break };
-                    let net = Network { inner };
+                    let Some(net) = weak.upgrade() else { break };
                     match net.deliver_oneway(job) {
                         OnewayOutcome::Terminal => {
                             net.inner.pending_oneways.resolve();
@@ -231,6 +242,11 @@ impl Network {
                 }
             })
             .expect("spawn one-way delivery worker");
+    }
+
+    /// A handle that does not keep this network alive.
+    pub fn downgrade(&self) -> WeakNetwork {
+        WeakNetwork(Arc::downgrade(&self.inner))
     }
 
     /// Bind a request/response handler at `address`

@@ -6,8 +6,8 @@
 //! cargo run --release --example counter_comparison
 //! ```
 //!
-//! (The full-resolution regeneration binaries live in `ogsa-bench`:
-//! `cargo run --release -p ogsa-bench --bin fig2` etc.)
+//! (The full-resolution figures come from `ogsa-bench`:
+//! `cargo run --release -p ogsa-bench -- figures fig2` etc.)
 
 use ogsa_grid::hello::{run, HelloConfig};
 use ogsa_grid::report::render_hello;
