@@ -268,7 +268,6 @@ impl ClientAgent {
                     let backoff_us = backoff.as_micros().to_string();
                     span.event_with("retry:backoff", &[("backoff_us", &backoff_us)]);
                     self.clock.advance(backoff);
-                    self.network().stats().record_retry();
                     tel.metrics().inc("invoke.retries", &[("action", action)]);
                     attempt += 1;
                 }

@@ -9,7 +9,7 @@ use ogsa_addressing::{EndpointReference, MessageHeaders};
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityPolicy};
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_soap::{Envelope, Fault};
-use ogsa_telemetry::{SpanKind, Telemetry};
+use ogsa_telemetry::{Counter, SpanKind, Telemetry};
 use ogsa_transport::{Network, RetryPolicy};
 use ogsa_xmldb::Database;
 use parking_lot::RwLock;
@@ -36,6 +36,9 @@ struct ContainerInner {
     /// Retry policy for service agents' request/response outcalls —
     /// how this container's server-to-server invokes survive a lossy wire.
     call_retry: RwLock<Option<RetryPolicy>>,
+    /// This container's `sec.c14n_passes{stage=sign|verify}` cells.
+    c14n_sign: Counter,
+    c14n_verify: Counter,
 }
 
 /// A deployed service and the context its requests run in.
@@ -64,6 +67,9 @@ impl Container {
         identity: Identity,
         cert_store: CertStore,
     ) -> Self {
+        let metrics = network.telemetry().metrics();
+        let c14n_sign = metrics.cell("sec.c14n_passes", &[("stage", "sign")]);
+        let c14n_verify = metrics.cell("sec.c14n_passes", &[("stage", "verify")]);
         Container {
             inner: Arc::new(ContainerInner {
                 host,
@@ -79,6 +85,8 @@ impl Container {
                 msg_seq: AtomicU64::new(0),
                 redelivery: RwLock::new(None),
                 call_retry: RwLock::new(None),
+                c14n_sign,
+                c14n_verify,
             }),
         }
     }
@@ -288,11 +296,7 @@ impl Container {
             let _s = tel.span(SpanKind::Security, "x509:sign");
             let before = ogsa_security::c14n_passes();
             sign_envelope(&mut resp, &inner.identity, &inner.clock, &inner.model);
-            tel.metrics().add(
-                "sec.c14n_passes",
-                &[("stage", "sign")],
-                ogsa_security::c14n_passes() - before,
-            );
+            inner.c14n_sign.add(ogsa_security::c14n_passes() - before);
         }
         resp
     }
@@ -314,11 +318,7 @@ impl Container {
             let _s = tel.span(SpanKind::Security, "x509:verify");
             let before = ogsa_security::c14n_passes();
             let verified = verify_envelope(&req, &inner.cert_store, &inner.clock, &inner.model);
-            tel.metrics().add(
-                "sec.c14n_passes",
-                &[("stage", "verify")],
-                ogsa_security::c14n_passes() - before,
-            );
+            inner.c14n_verify.add(ogsa_security::c14n_passes() - before);
             let signer =
                 verified.map_err(|e| Fault::client(format!("security check failed: {e}")))?;
             Some(signer.dn().to_owned())

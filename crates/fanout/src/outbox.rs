@@ -122,7 +122,6 @@ struct DelivererInner<T: Subscriber> {
     from_host: String,
     stats: FanoutStats,
     ledger: RedeliveryLedger,
-    stack: &'static str,
 }
 
 /// Drains per-subscriber outboxes into the stack's sink.
@@ -143,7 +142,6 @@ impl<T: Subscriber> Deliverer<T> {
         net: Network,
         from_host: impl Into<String>,
         stats: FanoutStats,
-        stack: &'static str,
         sink: Sink<T>,
     ) -> Self {
         Deliverer {
@@ -155,7 +153,6 @@ impl<T: Subscriber> Deliverer<T> {
                 from_host: from_host.into(),
                 stats,
                 ledger: RedeliveryLedger::new(),
-                stack,
             }),
         }
     }
@@ -222,11 +219,6 @@ impl<T: Subscriber> Deliverer<T> {
         self.inner.stats.sub_depth(shard, 1);
         self.inner.stats.bump_drop();
         self.inner.ledger.with(sub.sub_id(), |e| e.dropped += 1);
-        self.inner
-            .net
-            .telemetry()
-            .metrics()
-            .inc("wsn.backpressure_drops", &[("stack", self.inner.stack)]);
         let wire_bytes = evicted.into_document_string().len();
         self.inner.net.record_dead_letter(DeadLetter {
             to: sub.endpoint().address.clone(),
@@ -339,7 +331,6 @@ mod tests {
             crate::table::ShardedTable::<Sub>::free(4, "wsn")
                 .stats()
                 .clone(),
-            "wsn",
             sink,
         )
     }

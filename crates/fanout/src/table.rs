@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
-use ogsa_telemetry::Telemetry;
+use ogsa_telemetry::{Counter, MetricsRegistry, Telemetry};
 use ogsa_xmldb::fnv1a;
 use parking_lot::{Mutex, RwLock};
 
@@ -72,7 +72,8 @@ impl FanoutCosts {
 
 /// Shared, lock-free counters behind the table and the deliverer: per-shard
 /// busy time (the makespan model), per-shard subscriber counts and outbox
-/// depths (scrape-time gauges), plus contention and backpressure totals.
+/// depths (scrape-time gauges), plus the table's `wsn.shard_contention`
+/// and `wsn.backpressure_drops` cells.
 #[derive(Clone)]
 pub struct FanoutStats {
     inner: Arc<StatsInner>,
@@ -82,20 +83,36 @@ struct StatsInner {
     busy_us: Vec<AtomicU64>,
     subscribers: Vec<AtomicU64>,
     outbox_depth: Vec<AtomicU64>,
-    contentions: AtomicU64,
-    backpressure_drops: AtomicU64,
+    contention: Vec<Counter>,
+    backpressure_drops: Counter,
+}
+
+/// Shard label for metrics: the index, or `wild` for the wildcard shard.
+fn shard_label(i: usize, shards: usize) -> String {
+    if i == shards - 1 {
+        "wild".to_owned()
+    } else {
+        i.to_string()
+    }
 }
 
 impl FanoutStats {
-    fn new(shards: usize) -> Self {
+    fn new(shards: usize, metrics: &MetricsRegistry, stack: &'static str) -> Self {
         let cell = |_| AtomicU64::new(0);
+        let contention = |i| {
+            let shard = shard_label(i, shards);
+            metrics.cell(
+                "wsn.shard_contention",
+                &[("stack", stack), ("shard", &shard)],
+            )
+        };
         FanoutStats {
             inner: Arc::new(StatsInner {
                 busy_us: (0..shards).map(cell).collect(),
                 subscribers: (0..shards).map(cell).collect(),
                 outbox_depth: (0..shards).map(cell).collect(),
-                contentions: AtomicU64::new(0),
-                backpressure_drops: AtomicU64::new(0),
+                contention: (0..shards).map(contention).collect(),
+                backpressure_drops: metrics.cell("wsn.backpressure_drops", &[("stack", stack)]),
             }),
         }
     }
@@ -140,11 +157,11 @@ impl FanoutStats {
     }
 
     pub fn contentions(&self) -> u64 {
-        self.inner.contentions.load(Ordering::Relaxed)
+        self.inner.contention.iter().map(Counter::get).sum()
     }
 
     pub fn backpressure_drops(&self) -> u64 {
-        self.inner.backpressure_drops.load(Ordering::Relaxed)
+        self.inner.backpressure_drops.get()
     }
 
     pub(crate) fn add_depth(&self, shard: usize, n: u64) {
@@ -156,9 +173,7 @@ impl FanoutStats {
     }
 
     pub(crate) fn bump_drop(&self) {
-        self.inner
-            .backpressure_drops
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.backpressure_drops.inc();
     }
 
     /// Publish the scrape-time gauges on a metrics registry:
@@ -169,25 +184,18 @@ impl FanoutStats {
     pub fn register_gauges(&self, tel: &Telemetry, stack: &'static str) {
         let stats = self.clone();
         tel.metrics().register_collector(move |snap| {
-            let label = |i: usize, last: usize| {
-                if i == last {
-                    "wild".to_owned()
-                } else {
-                    i.to_string()
-                }
-            };
-            let last = stats.shards() - 1;
+            let shards = stats.shards();
             for (i, n) in stats.subscribers().into_iter().enumerate() {
                 snap.set_gauge(
                     "wsn.subscribers",
-                    &[("stack", stack), ("shard", &label(i, last))],
+                    &[("stack", stack), ("shard", &shard_label(i, shards))],
                     n,
                 );
             }
             for (i, n) in stats.outbox_depths().into_iter().enumerate() {
                 snap.set_gauge(
                     "wsn.outbox_depth",
-                    &[("stack", stack), ("shard", &label(i, last))],
+                    &[("stack", stack), ("shard", &shard_label(i, shards))],
                     n,
                 );
             }
@@ -229,8 +237,6 @@ pub struct ShardedTable<T: Subscriber> {
     clock: VirtualClock,
     costs: FanoutCosts,
     stats: FanoutStats,
-    tel: Telemetry,
-    stack: &'static str,
 }
 
 impl<T: Subscriber> ShardedTable<T> {
@@ -251,9 +257,7 @@ impl<T: Subscriber> ShardedTable<T> {
             next_reg: AtomicU64::new(0),
             clock,
             costs,
-            stats: FanoutStats::new(shards + 1),
-            tel,
-            stack,
+            stats: FanoutStats::new(shards + 1, tel.metrics(), stack),
         }
     }
 
@@ -304,7 +308,7 @@ impl<T: Subscriber> ShardedTable<T> {
         if let Some(g) = self.shards[shard].try_write() {
             return g;
         }
-        self.note_contention(shard);
+        self.stats.inner.contention[shard].inc();
         self.shards[shard].write()
     }
 
@@ -312,25 +316,8 @@ impl<T: Subscriber> ShardedTable<T> {
         if let Some(g) = self.shards[shard].try_read() {
             return g;
         }
-        self.note_contention(shard);
+        self.stats.inner.contention[shard].inc();
         self.shards[shard].read()
-    }
-
-    fn note_contention(&self, shard: usize) {
-        self.inner_note_contention(shard);
-    }
-
-    fn inner_note_contention(&self, shard: usize) {
-        self.stats.inner.contentions.fetch_add(1, Ordering::Relaxed);
-        let label = if shard == self.wild() {
-            "wild".to_owned()
-        } else {
-            shard.to_string()
-        };
-        self.tel.metrics().inc(
-            "wsn.shard_contention",
-            &[("stack", self.stack), ("shard", &label)],
-        );
     }
 
     /// Insert (or replace) a subscription under its compiled expression.

@@ -34,6 +34,7 @@ use ogsa_wsn::{NotificationConsumer, NotificationProducer, TopicExpression, Topi
 use ogsa_wsrf::service_base::{PortType, ServiceBase, WsrfService, WsrfServiceHost};
 use ogsa_wsrf::{ResourceDocument, TerminationTime, WsrfProxy};
 use ogsa_xml::Element;
+use ogsa_xmldb::DbError;
 
 use crate::api::{GridScenario, ScenarioError};
 use crate::hostfs::HostFs;
@@ -498,8 +499,12 @@ impl WsrfService for ExecService {
                         let _ = WsrfProxy::new(ctx.agent()).destroy(&rsv);
                     }
                     res.set_member("notified", "true");
-                    base.save(ctx, &res)?;
-                    fired += 1;
+                    match base.store().update(&res.id, res.doc) {
+                        // Destroyed since the query (e.g. by a JobEnded
+                        // consumer): skip it; the other jobs still fire.
+                        Ok(()) | Err(DbError::NotFound { .. }) => fired += 1,
+                        Err(e) => return Err(Fault::server(e.to_string())),
+                    }
                 }
                 Ok(Element::text_element(
                     "pumpCompletionsResponse",

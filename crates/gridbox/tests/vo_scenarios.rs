@@ -248,3 +248,79 @@ fn exit_codes_propagate_through_notifications() {
     s.instantiate_job(SimDuration::from_millis(5.0)).unwrap();
     assert_eq!(s.finish_job(WAIT).unwrap(), 0);
 }
+
+#[test]
+fn wsrf_pump_survives_a_job_destroyed_by_its_jobended_consumer() {
+    use std::sync::{Arc, Mutex};
+
+    use ogsa_addressing::EndpointReference;
+    use ogsa_gridbox::wsrf_gib::JOB_EXITED_TOPIC;
+    use ogsa_wsn::base::{actions, NotificationMessage, SubscribeRequest};
+    use ogsa_wsn::TopicExpression;
+    use ogsa_wsrf::WsrfProxy;
+    use ogsa_xml::Element;
+
+    let tb = Testbed::free();
+    // Inline delivery: the consumer below runs inside pumpCompletions,
+    // between its query and its save of each job.
+    tb.network().set_synchronous_oneways(true);
+    let grid = WsrfGrid::deploy(&tb, SecurityPolicy::None, &["site-a"], APPS, &[ALICE]);
+    let agent = tb.client("client-1", ALICE, SecurityPolicy::None);
+    let mut s = grid.scenario(agent.clone());
+    s.get_available_resource("blast").unwrap();
+    s.make_reservation().unwrap();
+    s.upload_file("in.dat", 64).unwrap();
+    let runtime = SimDuration::from_millis(5.0);
+    s.instantiate_job(runtime).unwrap();
+    s.instantiate_job(runtime).unwrap();
+
+    // Destroy the first job to end, on receipt of its JobEnded.
+    let ended: Arc<Mutex<Vec<String>>> = Arc::default();
+    let consumer = {
+        let ended = ended.clone();
+        let destroyer = agent.clone();
+        agent.listen_oneway(
+            "http",
+            "/destroy-on-end",
+            Arc::new(move |env| {
+                for n in NotificationMessage::all_from_notify_element(&env.body) {
+                    let job = n.message.attr_local("job").unwrap_or_default().to_owned();
+                    let first = {
+                        let mut ended = ended.lock().unwrap();
+                        ended.push(job);
+                        ended.len() == 1
+                    };
+                    let epr = n
+                        .message
+                        .child_local("jobEPR")
+                        .and_then(|e| e.child_elements().next())
+                        .and_then(|e| EndpointReference::from_element(e).ok())
+                        .expect("JobEnded carries the job EPR");
+                    if first {
+                        WsrfProxy::new(&destroyer)
+                            .destroy(&epr)
+                            .expect("destroy job");
+                    }
+                }
+            }),
+        )
+    };
+    let exec = &grid.sites[0].exec_epr;
+    let req = SubscribeRequest::new(consumer, TopicExpression::concrete(JOB_EXITED_TOPIC));
+    agent
+        .invoke(exec, actions::SUBSCRIBE, req.to_element())
+        .unwrap();
+
+    tb.clock().advance(runtime + SimDuration::from_micros(1));
+    let fired = agent
+        .invoke(
+            exec,
+            "urn:gib/pumpCompletions",
+            Element::new("pumpCompletions"),
+        )
+        .expect("a destroyed job does not fault the pump");
+    assert_eq!(fired.text(), "2");
+    let ended = ended.lock().unwrap();
+    assert_eq!(ended.len(), 2, "both jobs notified: {ended:?}");
+    assert_ne!(ended[0], ended[1]);
+}

@@ -22,12 +22,12 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ogsa_soap::Envelope;
-use ogsa_telemetry::{wall_now_us, SpanKind, WallHistogram};
+use ogsa_telemetry::{wall_now_us, Counter, MetricsRegistry, SpanKind, WallHistogram};
 use ogsa_transport::Network;
 
 use crate::admin::{AdminDispatcher, AdminPlane, ObsConfig, ReadyState};
@@ -67,34 +67,62 @@ impl Default for ServeConfig {
     }
 }
 
-/// Wall-clock serving counters, shared across workers.
-#[derive(Debug, Default)]
+/// Error statuses the serving tier answers with, as `serve.http_errors`
+/// `status` labels; anything else counts under `other`.
+const ERROR_STATUSES: [&str; 8] = ["400", "404", "405", "411", "413", "431", "500", "other"];
+
+/// Wall-clock serving counters, shared across workers: this server's cells
+/// of the `serve.*` series (which sum every server on the network).
+#[derive(Debug)]
 pub struct ServeStats {
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    http_errors: AtomicU64,
-    dispatch_panics: AtomicU64,
+    accepted: Counter,
+    requests: Counter,
+    handshakes: Counter,
+    resumptions: Counter,
+    dispatch_panics: Counter,
+    /// One cell per [`ERROR_STATUSES`] label.
+    http_errors: [Counter; ERROR_STATUSES.len()],
 }
 
 impl ServeStats {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        ServeStats {
+            accepted: metrics.cell("serve.accepted", &[]),
+            requests: metrics.cell("serve.requests", &[]),
+            handshakes: metrics.cell("serve.handshakes", &[]),
+            resumptions: metrics.cell("serve.resumptions", &[]),
+            dispatch_panics: metrics.cell("serve.dispatch_panics", &[]),
+            http_errors: ERROR_STATUSES
+                .map(|s| metrics.cell("serve.http_errors", &[("status", s)])),
+        }
+    }
+
+    fn http_error(&self, status: u16) -> &Counter {
+        let label = ERROR_STATUSES
+            .iter()
+            .position(|s| s.parse::<u16>() == Ok(status))
+            .unwrap_or(ERROR_STATUSES.len() - 1);
+        &self.http_errors[label]
+    }
+
     /// Connections accepted since bind.
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.accepted.get()
     }
 
     /// Requests that reached dispatch (including ones answered 4xx/5xx).
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.requests.get()
     }
 
     /// Requests answered with an error status.
     pub fn http_errors(&self) -> u64 {
-        self.http_errors.load(Ordering::Relaxed)
+        self.http_errors.iter().map(Counter::get).sum()
     }
 
     /// Handler panics converted into 500s.
     pub fn dispatch_panics(&self) -> u64 {
-        self.dispatch_panics.load(Ordering::Relaxed)
+        self.dispatch_panics.get()
     }
 }
 
@@ -144,25 +172,8 @@ impl Dispatcher {
 
     fn answer_error(&self, error: http::HttpError, keep_alive: bool, out: &mut Vec<u8>) {
         let status = error.status();
-        self.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-        self.net
-            .telemetry()
-            .metrics()
-            .inc("serve.http_errors", &[("status", status_label(status))]);
+        self.stats.http_error(status).inc();
         http::write_response(out, status, error.reason(), keep_alive, "");
-    }
-}
-
-fn status_label(status: u16) -> &'static str {
-    match status {
-        400 => "400",
-        404 => "404",
-        405 => "405",
-        411 => "411",
-        413 => "413",
-        431 => "431",
-        500 => "500",
-        _ => "other",
     }
 }
 
@@ -206,16 +217,14 @@ impl Dispatcher {
     fn handle(&mut self, req: Request<'_>, keep_alive: bool, out: &mut Vec<u8>) {
         let tel = self.net.telemetry().clone();
         let mut span = tel.span(SpanKind::Server, "serve:request");
-        let metrics = tel.metrics();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        metrics.inc("serve.requests", &[]);
+        self.stats.requests.inc();
         // Connection-reuse ledger, mirroring the TLS session cache: the
         // first request on a connection is the "handshake", every
         // pipelined/keep-alive follow-up a "resumption".
         if req.first_on_connection {
-            metrics.inc("serve.handshakes", &[]);
+            self.stats.handshakes.inc();
         } else {
-            metrics.inc("serve.resumptions", &[]);
+            self.stats.resumptions.inc();
         }
         let keep_alive = keep_alive && !self.force_close;
 
@@ -240,8 +249,7 @@ impl Dispatcher {
 
         let Some(handler) = self.net.handler_for(&self.addr_buf) else {
             span.set_attr("outcome", "not-found");
-            self.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-            metrics.inc("serve.http_errors", &[("status", "404")]);
+            self.stats.http_error(404).inc();
             http::write_response(out, 404, "Not Found", keep_alive, "");
             return;
         };
@@ -269,9 +277,8 @@ impl Dispatcher {
             }
             Err(_) => {
                 span.set_attr("outcome", "panic");
-                self.stats.dispatch_panics.fetch_add(1, Ordering::Relaxed);
-                self.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-                metrics.inc("serve.http_errors", &[("status", "500")]);
+                self.stats.dispatch_panics.inc();
+                self.stats.http_error(500).inc();
                 http::write_response(out, 500, "Internal Server Error", false, "");
             }
         }
@@ -297,7 +304,7 @@ impl Server {
     pub fn bind(net: &Network, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(ServeStats::default());
+        let stats = Arc::new(ServeStats::new(net.telemetry().metrics()));
         let shutdown = Arc::new(AtomicBool::new(false));
         let admin = if config.observe.enabled {
             let admin_listener = TcpListener::bind(&config.observe.admin_addr)?;
@@ -477,7 +484,6 @@ mod platform {
         {
             let stats = stats.clone();
             let shutdown = shutdown.clone();
-            let metrics = net.telemetry().metrics().clone();
             threads.push(
                 std::thread::Builder::new()
                     .name("ogsa-serve-accept".into())
@@ -490,7 +496,6 @@ mod platform {
                             accept_wake,
                             stats,
                             shutdown,
-                            metrics,
                         )
                     })?,
             );
@@ -500,21 +505,18 @@ mod platform {
 
     /// Drain one listener's accept backlog, handing connections to the
     /// workers round-robin. Returns the advanced round-robin cursor.
-    #[allow(clippy::too_many_arguments)]
     fn drain_accepts(
         listener: &TcpListener,
         is_admin: bool,
         workers: &[Arc<WorkerShared>],
         plane: &Option<AdminPlane>,
         stats: &ServeStats,
-        metrics: &ogsa_telemetry::MetricsRegistry,
         mut next: usize,
     ) -> usize {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    metrics.inc("serve.accepted", &[]);
+                    stats.accepted.inc();
                     let idx = next % workers.len();
                     let w = &workers[idx];
                     next += 1;
@@ -540,7 +542,6 @@ mod platform {
         next
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn accept_loop(
         listener: TcpListener,
         admin_listener: Option<TcpListener>,
@@ -549,7 +550,6 @@ mod platform {
         wake: Arc<EventFd>,
         stats: Arc<ServeStats>,
         shutdown: Arc<AtomicBool>,
-        metrics: ogsa_telemetry::MetricsRegistry,
     ) {
         let Ok(ep) = Epoll::new() else { return };
         if ep
@@ -580,14 +580,11 @@ mod platform {
                     }
                     ADMIN_LISTENER => {
                         if let Some(al) = &admin_listener {
-                            next =
-                                drain_accepts(al, true, &workers, &plane, &stats, &metrics, next);
+                            next = drain_accepts(al, true, &workers, &plane, &stats, next);
                         }
                     }
                     _ => {
-                        next = drain_accepts(
-                            &listener, false, &workers, &plane, &stats, &metrics, next,
-                        );
+                        next = drain_accepts(&listener, false, &workers, &plane, &stats, next);
                     }
                 }
             }
@@ -787,8 +784,7 @@ mod platform {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        net.telemetry().metrics().inc("serve.accepted", &[]);
+                        stats.accepted.inc();
                         let obs = plane.as_ref().map(|p| WorkerObs {
                             plane: p.clone(),
                             shard: p.shard(0),
@@ -930,6 +926,30 @@ mod tests {
         assert_eq!(m.counter("serve.resumptions"), 2);
         assert_eq!(m.counter("serve.requests"), 3);
         assert_eq!(server.stats().accepted(), 1);
+    }
+
+    #[test]
+    fn two_servers_on_one_network_count_their_own_requests() {
+        // Each server's stats are its own cells; the `serve.*` series sum
+        // every server bound on the network (the `obs` gate's shape).
+        let net = echo_net();
+        let a = Server::bind(&net, ServeConfig::default()).unwrap();
+        let b = Server::bind(&net, ServeConfig::default()).unwrap();
+        for target in ["/services/echo", "/services/nope"] {
+            let text = raw_request(a.addr(), &soap_request(target, false));
+            assert!(text.starts_with("HTTP/1.1 "), "got: {text}");
+        }
+        for _ in 0..3 {
+            let text = raw_request(b.addr(), &soap_request("/services/echo", false));
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
+        }
+        assert_eq!((a.stats().requests(), a.stats().http_errors()), (2, 1));
+        assert_eq!((b.stats().requests(), b.stats().http_errors()), (3, 0));
+        let m = net.telemetry().metrics().snapshot();
+        assert_eq!(m.counter("serve.requests"), 5);
+        assert_eq!(m.counter("serve.http_errors{status=404}"), 1);
+        assert_eq!(m.counter_total("serve.http_errors"), 1);
+        assert_eq!(m.counter("serve.accepted"), 5);
     }
 
     fn get_request(target: &str) -> Vec<u8> {

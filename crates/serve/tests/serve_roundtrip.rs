@@ -6,11 +6,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use ogsa_container::Testbed;
 use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
 use ogsa_security::SecurityPolicy;
 use ogsa_serve::{ServeConfig, Server};
+use ogsa_telemetry::prometheus::parse_exposition;
 
 /// Split a bound address like `http://host-a/services/X` into
 /// (`host-a`, `/services/X`).
@@ -163,4 +165,45 @@ fn closing_connection_and_reconnecting_charges_a_second_handshake() {
     let metrics = tb.telemetry().metrics().snapshot();
     assert_eq!(metrics.counter("serve.handshakes"), 2);
     assert_eq!(metrics.counter("serve.resumptions"), 0);
+}
+
+#[test]
+fn admin_metrics_expose_the_wire_counters() {
+    // The simulated wire's ledger is the `net.*` series: a scrape after
+    // quiesce shows exactly what `NetStats` reports.
+    let tb = Testbed::free();
+    let container = tb.container("host-a", SecurityPolicy::Https);
+    let wsrf = WsrfCounter::deploy(&container);
+    let client = wsrf.client(tb.client("host-b", "CN=scraper,O=VO", SecurityPolicy::Https));
+    let counter = client.create().expect("create");
+    client.set(&counter, 3).unwrap();
+
+    let server = Server::bind(tb.network(), ServeConfig::default()).expect("bind");
+    let admin = server.admin_addr().expect("observability on by default");
+    assert!(tb.network().quiesce(Duration::from_secs(10)));
+    let wire = tb.network().stats().snapshot();
+    assert!(wire.requests > 0 && wire.tls_handshakes > 0, "{wire:?}");
+
+    let mut stream = TcpStream::connect(admin).expect("connect admin");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut req = Vec::new();
+    ogsa_serve::http::write_get_request(&mut req, "/metrics", "admin", true);
+    stream.write_all(&req).unwrap();
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, 200, "{body}");
+    let exp = parse_exposition(&body).expect("scrape parses");
+    exp.check_histograms().expect("histograms consistent");
+    for (name, value) in [
+        ("net_requests", wire.requests),
+        ("net_bytes", wire.bytes),
+        ("net_tls_handshakes", wire.tls_handshakes),
+        ("net_timeouts", wire.timeouts),
+    ] {
+        let sample = exp
+            .get(name, &[])
+            .unwrap_or_else(|| panic!("{name} missing from:\n{body}"));
+        assert_eq!(sample.value as u64, value, "{name}");
+    }
 }

@@ -33,7 +33,9 @@ pub mod wallclock;
 pub mod wire;
 
 pub use flight::{FlightRecorder, FlightTrace};
-pub use metrics::{series_key, Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_US};
+pub use metrics::{
+    series_key, Counter, Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_US,
+};
 pub use span::{SpanEvent, SpanId, SpanKind, SpanRecord, TraceId};
 pub use wallclock::{
     wall_now_us, Exemplar, ExemplarStore, ShardedWallHistogram, WallHistogram, WallSnapshot,

@@ -4,8 +4,15 @@
 //! Keys render to the conventional `name{k=v,...}` form and live in
 //! `BTreeMap`s, so snapshots iterate in a deterministic order — two runs of
 //! the same seed serialise to identical JSON.
+//!
+//! A counter series is the sum of its [`Counter`] cells. Typed stats
+//! structs own cells resolved when they are built: per-object values
+//! without a key or a lock per add, while the series keeps the total.
+//! Cells are independent atomics, so a snapshot is exact once the writers
+//! are done (threads joined, `Network::quiesce`/`drain` returned).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ogsa_sim::SimDuration;
@@ -86,10 +93,9 @@ impl MetricsSnapshot {
     /// Sum of every counter series with this metric name, across all label
     /// sets.
     pub fn counter_total(&self, name: &str) -> u64 {
-        let prefix = format!("{name}{{");
         self.counters
             .iter()
-            .filter(|(k, _)| k.as_str() == name || k.starts_with(&prefix))
+            .filter(|(k, _)| in_family(k, name))
             .map(|(_, v)| v)
             .sum()
     }
@@ -113,6 +119,52 @@ impl MetricsSnapshot {
 /// depending on each other.
 pub type Collector = Box<dyn Fn(&mut MetricsSnapshot) + Send + Sync>;
 
+/// Is `key` a series of the metric `name` (bare, or with labels)?
+fn in_family(key: &str, name: &str) -> bool {
+    key.strip_prefix(name)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
+}
+
+/// One pre-resolved counter cell, summed into the series it was registered
+/// under by [`MetricsRegistry::cell`]. Adding is one relaxed atomic add:
+/// the count publishes no other data. Cloning shares the cell.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    pub fn add(&self, delta: u64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Zero this cell; its series drops by the cell's value. For typed
+    /// stats that start a fresh measurement window.
+    pub fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A counter series: what the `inc`/`add` shortcut added, plus every cell
+/// registered under the same key.
+#[derive(Debug, Default)]
+struct Series {
+    shortcut: u64,
+    cells: Vec<Counter>,
+}
+
+impl Series {
+    fn value(&self) -> u64 {
+        self.cells.iter().map(Counter::get).sum::<u64>() + self.shortcut
+    }
+}
+
 /// Shared registry of counters and histograms. Cloning shares the store.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -121,7 +173,7 @@ pub struct MetricsRegistry {
 
 #[derive(Default)]
 struct MetricsInner {
-    counters: Mutex<BTreeMap<String, u64>>,
+    counters: Mutex<BTreeMap<String, Series>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     /// Last-write-wins point-in-time values; only surfaced by `gather`.
     gauges: Mutex<BTreeMap<String, u64>>,
@@ -167,19 +219,34 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Register a new cell under a counter series (which appears, at 0,
+    /// from now on) and hand it to its owner.
+    pub fn cell(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        let cell = Counter::default();
+        self.inner
+            .counters
+            .lock()
+            .entry(series_key(name, labels))
+            .or_default()
+            .cells
+            .push(cell.clone());
+        cell
+    }
+
     /// Add 1 to a counter series.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)]) {
         self.add(name, labels, 1);
     }
 
-    /// Add `delta` to a counter series.
+    /// Add `delta` to a counter series, resolving its key under the
+    /// registry lock: for cold sites with dynamic labels.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self
-            .inner
+        self.inner
             .counters
             .lock()
             .entry(series_key(name, labels))
-            .or_insert(0) += delta;
+            .or_default()
+            .shortcut += delta;
     }
 
     /// Current value of a counter series.
@@ -188,8 +255,19 @@ impl MetricsRegistry {
             .counters
             .lock()
             .get(&series_key(name, labels))
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, Series::value)
+    }
+
+    /// Sum of every counter series with this metric name, across all label
+    /// sets.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.inner
+            .counters
+            .lock()
+            .iter()
+            .filter(|(k, _)| in_family(k, name))
+            .map(|(_, s)| s.value())
+            .sum()
     }
 
     /// Record one virtual-time observation in a histogram series.
@@ -228,15 +306,19 @@ impl MetricsRegistry {
         self.inner.collectors.lock().push(Box::new(f));
     }
 
-    /// A deterministic-order copy of everything.
+    /// A deterministic-order copy of every counter and histogram, exact
+    /// once the writers are done (see the module docs).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        // Take both locks before copying either map so the snapshot is a
-        // single consistent cut, not two cuts a writer can slip between.
-        let counters = self.inner.counters.lock();
-        let histograms = self.inner.histograms.lock();
+        let counters = self
+            .inner
+            .counters
+            .lock()
+            .iter()
+            .map(|(k, s)| (k.clone(), s.value()))
+            .collect();
         MetricsSnapshot {
-            counters: counters.clone(),
-            histograms: histograms.clone(),
+            counters,
+            histograms: self.inner.histograms.lock().clone(),
             gauges: BTreeMap::new(),
         }
     }
@@ -254,14 +336,6 @@ impl MetricsRegistry {
             f(&mut snap);
         }
         snap
-    }
-
-    /// Drop every series (a fresh measurement window).
-    pub fn clear(&self) {
-        let mut counters = self.inner.counters.lock();
-        let mut histograms = self.inner.histograms.lock();
-        counters.clear();
-        histograms.clear();
     }
 }
 
@@ -311,14 +385,32 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_deterministic_and_clear_resets() {
+    fn snapshot_is_deterministic() {
         let m = MetricsRegistry::new();
         m.inc("b", &[]);
         m.inc("a", &[("x", "1")]);
         let keys: Vec<_> = m.snapshot().counters.keys().cloned().collect();
         assert_eq!(keys, ["a{x=1}", "b"]);
-        m.clear();
-        assert!(m.snapshot().counters.is_empty());
+    }
+
+    #[test]
+    fn a_series_is_the_sum_of_its_cells_and_shortcut_adds() {
+        let m = MetricsRegistry::new();
+        let a = m.cell("reqs", &[]);
+        let b = m.cell("reqs", &[]);
+        let other = m.cell("reqs", &[("status", "404")]);
+        assert_eq!(m.snapshot().counter("reqs"), 0, "registered at 0");
+        a.add(2);
+        b.inc();
+        m.inc("reqs", &[]);
+        other.inc();
+        assert_eq!((a.get(), b.get()), (2, 1), "each cell is per owner");
+        assert_eq!(m.counter("reqs", &[]), 4);
+        assert_eq!(m.counter_total("reqs"), 5);
+        assert_eq!(m.snapshot().counter_total("reqs"), 5);
+        assert_eq!(m.counter_total("req"), 0, "a prefix is not a family");
+        a.reset();
+        assert_eq!(m.counter("reqs", &[]), 2);
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl Network {
             tls_sessions: Mutex::new(HashSet::new()),
             connections: Mutex::new(HashSet::new()),
             tls_session_cache: RwLock::new(true),
-            stats: NetStats::new(),
+            stats: NetStats::new(tel.metrics()),
             oneway_tx: Mutex::new(None),
             fault_plan: RwLock::new(None),
             edge_seqs: Mutex::new(HashMap::new()),
@@ -408,11 +408,10 @@ impl Network {
 
     /// Record a dead letter decided *outside* the wire retry machinery —
     /// e.g. a notification evicted from a bounded fan-out outbox by
-    /// backpressure. Counted in the stats, the `oneway.dead_letters` metric,
-    /// and the [`Network::dead_letters`] record like any wire-level dead
-    /// letter.
+    /// backpressure. Counted in the `oneway.dead_letters` metric (which
+    /// [`NetStats::dead_letters`] reads) and the [`Network::dead_letters`]
+    /// record like any wire-level dead letter.
     pub fn record_dead_letter(&self, letter: DeadLetter) {
-        self.inner.stats.record_dead_letter();
         self.inner
             .tel
             .metrics()
@@ -474,7 +473,7 @@ impl Network {
             self.inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            self.inner.stats.record_connect();
+            self.inner.stats.connects.inc();
         }
         if scheme == "https" {
             let cache_enabled = *self.inner.tls_session_cache.read();
@@ -487,13 +486,13 @@ impl Network {
                 self.inner
                     .clock
                     .advance(SimDuration::from_micros(m.tls_resume_us));
-                self.inner.stats.record_tls_resumption();
+                self.inner.stats.tls_resumptions.inc();
             } else {
                 let _s = self.inner.tel.span(SpanKind::Security, "tls:handshake");
                 self.inner
                     .clock
                     .advance(SimDuration::from_micros(m.tls_handshake_us));
-                self.inner.stats.record_tls_handshake();
+                self.inner.stats.tls_handshakes.inc();
             }
         }
     }
@@ -551,7 +550,7 @@ impl Network {
             self.inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            self.inner.stats.record_partition_refusal();
+            self.inner.stats.partition_refusals.inc();
             span.event("fault:partition");
             return self.fail_oneway_attempt(job, FaultKind::Partition, &mut span);
         }
@@ -567,7 +566,7 @@ impl Network {
             self.inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            self.inner.stats.record_connect();
+            self.inner.stats.connects.inc();
         }
         let overhead = if scheme == "tcp" {
             m.tcp_send_overhead_us
@@ -577,7 +576,7 @@ impl Network {
         self.inner.clock.advance(SimDuration::from_micros(overhead));
         if let Some(extra) = decision.delay {
             self.inner.clock.advance(extra);
-            self.inner.stats.record_injected_delay();
+            self.inner.stats.injected_delays.inc();
             let extra_us = extra.as_micros().to_string();
             span.event_with("fault:delay", &[("extra_us", &extra_us)]);
         }
@@ -585,14 +584,14 @@ impl Network {
         self.inner.stats.record_oneway(job.wire.len());
 
         if decision.drop {
-            self.inner.stats.record_injected_drop();
+            self.inner.stats.injected_drops.inc();
             span.event("fault:drop");
             return self.fail_oneway_attempt(job, FaultKind::Drop, &mut span);
         }
 
         // Receiver-side parse (of corrupted bytes, if garbled in flight).
         let parsed = if decision.garble {
-            self.inner.stats.record_injected_garble();
+            self.inner.stats.injected_garbles.inc();
             span.event("fault:garble");
             let bad = plan
                 .as_ref()
@@ -628,7 +627,7 @@ impl Network {
             self.inner.clock.advance(SimDuration::from_micros(overhead));
             self.charge_wire(job.wire.len(), &job.from_host, &to_host, &scheme);
             self.inner.stats.record_oneway(job.wire.len());
-            self.inner.stats.record_injected_duplicate();
+            self.inner.stats.injected_duplicates.inc();
             self.inner.clock.advance(m.soap_time(job.wire.len()));
             span.event("fault:duplicate");
             tel.metrics()
@@ -658,7 +657,6 @@ impl Network {
             return OnewayOutcome::Terminal;
         };
         if job.attempt >= policy.max_attempts {
-            self.inner.stats.record_dead_letter();
             let attempts = job.attempt.to_string();
             span.event_with(
                 "dead_letter",
@@ -682,7 +680,6 @@ impl Network {
             &[("reason", reason.label()), ("backoff_us", &backoff_us)],
         );
         self.inner.clock.advance(backoff);
-        self.inner.stats.record_retry();
         metrics.inc("oneway.redeliveries", &[("reason", reason.label())]);
         job.logical_at = job.logical_at.plus(backoff);
         job.attempt += 1;
@@ -778,7 +775,7 @@ impl Port {
             inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            inner.stats.record_partition_refusal();
+            inner.stats.partition_refusals.inc();
             span.event("fault:partition");
             return self.lost_request(address, deadline, &mut span);
         }
@@ -796,21 +793,20 @@ impl Port {
 
         if decision.drop {
             // The request vanished in flight; the client waits in vain.
-            inner.stats.record_injected_drop();
+            inner.stats.injected_drops.inc();
             span.event("fault:drop");
             return self.lost_request(address, deadline, &mut span);
         }
         if let Some(extra) = decision.delay {
-            inner.stats.record_injected_delay();
+            inner.stats.injected_delays.inc();
             let extra_us = extra.as_micros().to_string();
             span.event_with("fault:delay", &[("extra_us", &extra_us)]);
             if let Some(d) = deadline {
                 if extra >= d {
                     // The reply would land after the caller gave up.
                     inner.clock.advance(d);
-                    inner.stats.record_timeout();
+                    inner.stats.timeouts.inc();
                     span.event("timeout");
-                    inner.tel.metrics().inc("net.timeouts", &[]);
                     return Err(TransportError::Timeout {
                         address: address.to_owned(),
                         after: d,
@@ -820,7 +816,7 @@ impl Port {
             inner.clock.advance(extra);
         }
         if decision.garble {
-            inner.stats.record_injected_garble();
+            inner.stats.injected_garbles.inc();
             span.event("fault:garble");
             let garbled = plan
                 .as_ref()
@@ -884,9 +880,8 @@ impl Port {
         match deadline {
             Some(d) => {
                 self.net.inner.clock.advance(d);
-                self.net.inner.stats.record_timeout();
+                self.net.inner.stats.timeouts.inc();
                 span.event("timeout");
-                self.net.inner.tel.metrics().inc("net.timeouts", &[]);
                 Err(TransportError::Timeout {
                     address: address.to_owned(),
                     after: d,

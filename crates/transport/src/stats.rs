@@ -2,40 +2,75 @@
 //! demand-based brokered publishing generates "an order of magnitude" more
 //! messages than any other interaction.
 //!
-//! The counters live behind a single mutex rather than per-field atomics so
-//! [`NetStats::snapshot`] is a *consistent cut*: no snapshot can observe a
-//! request whose bytes have not landed yet, which the chaos and determinism
-//! tests compare snapshots across runs rely on.
+//! Each counter is this network's cell of a `net.*` registry series, so
+//! `/metrics` shows the ledger the tests read; retries and dead letters
+//! are read off their labelled `oneway.*`/`invoke.retries` families. A
+//! [`NetStats::snapshot`] is exact once the senders are done (after
+//! `Network::quiesce`/`drain` returns or they are joined), which is when
+//! the chaos and determinism tests compare snapshots.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use ogsa_telemetry::{Counter, MetricsRegistry};
 
-/// Shared counters for everything that crosses the simulated wire.
-#[derive(Debug, Clone, Default)]
-pub struct NetStats {
-    inner: Arc<Mutex<NetStatsSnapshot>>,
+macro_rules! net_counters {
+    ($($field:ident),* $(,)?) => {
+        /// Shared counters for everything that crosses the simulated wire.
+        /// Cloning shares the cells.
+        #[derive(Debug, Clone)]
+        pub struct NetStats {
+            $(pub(crate) $field: Counter,)*
+            metrics: MetricsRegistry,
+        }
+
+        /// A plain-data copy of every counter, for equality assertions in
+        /// determinism and chaos tests.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct NetStatsSnapshot {
+            $(pub $field: u64,)*
+            pub retries: u64,
+            pub dead_letters: u64,
+        }
+
+        impl NetStats {
+            /// Register this network's `net.*` cells in `metrics`.
+            pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
+                NetStats {
+                    $($field: metrics.cell(concat!("net.", stringify!($field)), &[]),)*
+                    metrics: metrics.clone(),
+                }
+            }
+
+            $(pub fn $field(&self) -> u64 {
+                self.$field.get()
+            })*
+
+            /// A plain-data copy of every counter; exact once the senders
+            /// are done (see the module docs).
+            pub fn snapshot(&self) -> NetStatsSnapshot {
+                NetStatsSnapshot {
+                    $($field: self.$field.get(),)*
+                    retries: self.retries(),
+                    dead_letters: self.dead_letters(),
+                }
+            }
+        }
+    };
 }
 
-/// A plain-data copy of every counter, for equality assertions in
-/// determinism and chaos tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetStatsSnapshot {
-    pub requests: u64,
-    pub responses: u64,
-    pub oneways: u64,
-    pub bytes: u64,
-    pub tls_handshakes: u64,
-    pub tls_resumptions: u64,
-    pub connects: u64,
-    pub injected_drops: u64,
-    pub injected_delays: u64,
-    pub injected_duplicates: u64,
-    pub injected_garbles: u64,
-    pub partition_refusals: u64,
-    pub timeouts: u64,
-    pub retries: u64,
-    pub dead_letters: u64,
-}
+net_counters!(
+    requests,
+    responses,
+    oneways,
+    bytes,
+    tls_handshakes,
+    tls_resumptions,
+    connects,
+    injected_drops,
+    injected_delays,
+    injected_duplicates,
+    injected_garbles,
+    partition_refusals,
+    timeouts,
+);
 
 impl NetStatsSnapshot {
     /// Total injected faults of every kind.
@@ -49,138 +84,35 @@ impl NetStatsSnapshot {
 }
 
 impl NetStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn record_request(&self, bytes: usize) {
-        let mut s = self.inner.lock();
-        s.requests += 1;
-        s.bytes += bytes as u64;
+        self.requests.inc();
+        self.bytes.add(bytes as u64);
     }
 
     pub(crate) fn record_response(&self, bytes: usize) {
-        let mut s = self.inner.lock();
-        s.responses += 1;
-        s.bytes += bytes as u64;
+        self.responses.inc();
+        self.bytes.add(bytes as u64);
     }
 
     pub(crate) fn record_oneway(&self, bytes: usize) {
-        let mut s = self.inner.lock();
-        s.oneways += 1;
-        s.bytes += bytes as u64;
-    }
-
-    pub(crate) fn record_tls_handshake(&self) {
-        self.inner.lock().tls_handshakes += 1;
-    }
-
-    pub(crate) fn record_tls_resumption(&self) {
-        self.inner.lock().tls_resumptions += 1;
-    }
-
-    pub(crate) fn record_connect(&self) {
-        self.inner.lock().connects += 1;
-    }
-
-    pub fn requests(&self) -> u64 {
-        self.inner.lock().requests
-    }
-
-    pub fn responses(&self) -> u64 {
-        self.inner.lock().responses
-    }
-
-    pub fn oneways(&self) -> u64 {
-        self.inner.lock().oneways
+        self.oneways.inc();
+        self.bytes.add(bytes as u64);
     }
 
     /// Total SOAP messages on the wire (requests + responses + one-ways).
     pub fn messages(&self) -> u64 {
-        let s = self.inner.lock();
-        s.requests + s.responses + s.oneways
+        self.requests() + self.responses() + self.oneways()
     }
 
-    pub fn bytes(&self) -> u64 {
-        self.inner.lock().bytes
-    }
-
-    pub fn tls_handshakes(&self) -> u64 {
-        self.inner.lock().tls_handshakes
-    }
-
-    pub fn tls_resumptions(&self) -> u64 {
-        self.inner.lock().tls_resumptions
-    }
-
-    pub fn connects(&self) -> u64 {
-        self.inner.lock().connects
-    }
-
-    pub(crate) fn record_injected_drop(&self) {
-        self.inner.lock().injected_drops += 1;
-    }
-
-    pub(crate) fn record_injected_delay(&self) {
-        self.inner.lock().injected_delays += 1;
-    }
-
-    pub(crate) fn record_injected_duplicate(&self) {
-        self.inner.lock().injected_duplicates += 1;
-    }
-
-    pub(crate) fn record_injected_garble(&self) {
-        self.inner.lock().injected_garbles += 1;
-    }
-
-    pub(crate) fn record_partition_refusal(&self) {
-        self.inner.lock().partition_refusals += 1;
-    }
-
-    pub(crate) fn record_timeout(&self) {
-        self.inner.lock().timeouts += 1;
-    }
-
-    /// Public: the retry layer lives above the transport (`ClientAgent`),
-    /// but its attempts belong in the same wire-level ledger.
-    pub fn record_retry(&self) {
-        self.inner.lock().retries += 1;
-    }
-
-    pub(crate) fn record_dead_letter(&self) {
-        self.inner.lock().dead_letters += 1;
-    }
-
-    pub fn injected_drops(&self) -> u64 {
-        self.inner.lock().injected_drops
-    }
-
-    pub fn injected_delays(&self) -> u64 {
-        self.inner.lock().injected_delays
-    }
-
-    pub fn injected_duplicates(&self) -> u64 {
-        self.inner.lock().injected_duplicates
-    }
-
-    pub fn injected_garbles(&self) -> u64 {
-        self.inner.lock().injected_garbles
-    }
-
-    pub fn partition_refusals(&self) -> u64 {
-        self.inner.lock().partition_refusals
-    }
-
-    pub fn timeouts(&self) -> u64 {
-        self.inner.lock().timeouts
-    }
-
+    /// One-way redeliveries plus client invoke retries: every attempt the
+    /// retry layers made, wire-level and `ClientAgent`-level alike.
     pub fn retries(&self) -> u64 {
-        self.inner.lock().retries
+        self.metrics.counter_total("oneway.redeliveries")
+            + self.metrics.counter_total("invoke.retries")
     }
 
     pub fn dead_letters(&self) -> u64 {
-        self.inner.lock().dead_letters
+        self.metrics.counter_total("oneway.dead_letters")
     }
 
     /// Total injected faults of every kind.
@@ -194,15 +126,9 @@ impl NetStats {
     /// are evicted so a cold-start ablation doesn't report stale warm-run
     /// counts.
     pub fn reset_connection_counters(&self) {
-        let mut s = self.inner.lock();
-        s.connects = 0;
-        s.tls_handshakes = 0;
-        s.tls_resumptions = 0;
-    }
-
-    /// An atomically-consistent plain-data copy of every counter.
-    pub fn snapshot(&self) -> NetStatsSnapshot {
-        *self.inner.lock()
+        self.connects.reset();
+        self.tls_handshakes.reset();
+        self.tls_resumptions.reset();
     }
 }
 
@@ -210,9 +136,13 @@ impl NetStats {
 mod tests {
     use super::*;
 
+    fn stats() -> NetStats {
+        NetStats::new(&MetricsRegistry::new())
+    }
+
     #[test]
     fn messages_is_the_sum() {
-        let s = NetStats::new();
+        let s = stats();
         s.record_request(10);
         s.record_response(20);
         s.record_oneway(5);
@@ -223,10 +153,10 @@ mod tests {
 
     #[test]
     fn clones_share() {
-        let s = NetStats::new();
-        s.clone().record_tls_handshake();
-        s.clone().record_tls_resumption();
-        s.clone().record_connect();
+        let s = stats();
+        s.clone().tls_handshakes.inc();
+        s.clone().tls_resumptions.inc();
+        s.clone().connects.inc();
         assert_eq!(s.tls_handshakes(), 1);
         assert_eq!(s.tls_resumptions(), 1);
         assert_eq!(s.connects(), 1);
@@ -234,16 +164,16 @@ mod tests {
 
     #[test]
     fn fault_counters_roll_up() {
-        let s = NetStats::new();
-        s.record_injected_drop();
-        s.record_injected_delay();
-        s.record_injected_duplicate();
-        s.record_injected_garble();
-        s.record_partition_refusal();
-        s.record_timeout();
-        s.record_retry();
-        s.record_retry();
-        s.record_dead_letter();
+        let s = stats();
+        s.injected_drops.inc();
+        s.injected_delays.inc();
+        s.injected_duplicates.inc();
+        s.injected_garbles.inc();
+        s.partition_refusals.inc();
+        s.timeouts.inc();
+        s.metrics.inc("oneway.redeliveries", &[("reason", "drop")]);
+        s.metrics.inc("invoke.retries", &[("action", "Get")]);
+        s.metrics.inc("oneway.dead_letters", &[("reason", "drop")]);
         let snap = s.snapshot();
         assert_eq!(snap.faults_injected(), 5);
         assert_eq!(snap.timeouts, 1);
@@ -253,13 +183,13 @@ mod tests {
 
     #[test]
     fn reset_connection_counters_leaves_message_ledger() {
-        let s = NetStats::new();
+        let s = stats();
         s.record_request(10);
         s.record_response(20);
-        s.record_connect();
-        s.record_tls_handshake();
-        s.record_tls_resumption();
-        s.record_retry();
+        s.connects.inc();
+        s.tls_handshakes.inc();
+        s.tls_resumptions.inc();
+        s.metrics.inc("invoke.retries", &[("action", "Get")]);
         s.reset_connection_counters();
         let snap = s.snapshot();
         assert_eq!(snap.connects, 0);
@@ -273,35 +203,57 @@ mod tests {
 
     #[test]
     fn snapshots_compare_by_value() {
-        let a = NetStats::new();
-        let b = NetStats::new();
+        let a = stats();
+        let b = stats();
         a.record_request(10);
         b.record_request(10);
         assert_eq!(a.snapshot(), b.snapshot());
-        b.record_retry();
+        b.metrics.inc("invoke.retries", &[("action", "Get")]);
         assert_ne!(a.snapshot(), b.snapshot());
     }
 
     #[test]
-    fn snapshot_is_a_consistent_cut() {
-        // A request's count and bytes land together: concurrent snapshots
-        // never see requests advanced without the matching bytes.
-        let s = NetStats::new();
-        let writer = {
-            let s = s.clone();
-            std::thread::spawn(move || {
-                for _ in 0..1_000 {
-                    s.record_request(7);
-                }
-            })
-        };
-        for _ in 0..200 {
-            let snap = s.snapshot();
-            assert_eq!(snap.bytes, snap.requests * 7);
-        }
-        writer.join().unwrap();
+    fn counters_are_the_net_series() {
+        let m = MetricsRegistry::new();
+        let s = NetStats::new(&m);
+        s.record_request(7);
+        s.timeouts.inc();
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("net.requests"), 1);
+        assert_eq!(snap.counter("net.bytes"), 7);
+        assert_eq!(snap.counter("net.timeouts"), 1);
+        assert_eq!(snap.counter("net.tls_handshakes"), 0);
+        assert!(snap.counters.contains_key("net.tls_handshakes"));
+    }
+
+    #[test]
+    fn snapshot_is_exact_once_concurrent_senders_are_joined() {
+        // The contract the chaos and determinism tests rely on: no cut is
+        // promised mid-flight, but once every sender is joined (or the
+        // network has drained) every total is exact.
+        const SENDERS: usize = 4;
+        const PER_SENDER: u64 = 1_000;
+        let m = MetricsRegistry::new();
+        let s = NetStats::new(&m);
+        let start = std::sync::Barrier::new(SENDERS);
+        std::thread::scope(|scope| {
+            for _ in 0..SENDERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..PER_SENDER {
+                        s.record_request(7);
+                        s.record_oneway(3);
+                        m.inc("oneway.redeliveries", &[("reason", "drop")]);
+                    }
+                });
+            }
+        });
+        let n = SENDERS as u64 * PER_SENDER;
         let snap = s.snapshot();
-        assert_eq!(snap.requests, 1_000);
-        assert_eq!(snap.bytes, 7_000);
+        assert_eq!(snap.requests, n);
+        assert_eq!(snap.oneways, n);
+        assert_eq!(snap.bytes, 10 * n);
+        assert_eq!(snap.retries, n);
+        assert_eq!(m.snapshot().counter("net.bytes"), snap.bytes);
     }
 }

@@ -58,7 +58,8 @@ impl NotificationProducer {
     /// there is no legal batch container for out-of-band-schema payloads.
     fn build_deliverer(store: &SubscriptionStore, agent: &ClientAgent) -> Deliverer<Subscription> {
         let sender = agent.clone();
-        let metrics_net = agent.network().clone();
+        let metrics = agent.network().telemetry().metrics();
+        let notify_sent = metrics.cell("notify.sent", &[("stack", "wsn")]);
         let sink: Sink<Subscription> = Arc::new(move |sub: &Subscription, bodies: Vec<Element>| {
             let mut sent = 0u64;
             if sub.use_notify {
@@ -74,18 +75,12 @@ impl NotificationProducer {
                     sent += 1;
                 }
             }
-            for _ in 0..sent {
-                metrics_net
-                    .telemetry()
-                    .metrics()
-                    .inc("notify.sent", &[("stack", "wsn")]);
-            }
+            notify_sent.add(sent);
         });
         let deliverer = Deliverer::new(
             agent.network().clone(),
             agent.port().host().to_owned(),
             store.index().stats().clone(),
-            "wsn",
             sink,
         );
         // Destroyed/expired subscribers lose their parked batches and their

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
-use ogsa_telemetry::{SpanKind, Telemetry};
+use ogsa_telemetry::{Counter, SpanKind, Telemetry};
 use ogsa_xml::{write_document, Element, XPath, XPathContext};
 use parking_lot::RwLock;
 
@@ -137,6 +137,10 @@ impl Database {
                     profile: backend.cost_profile(&self.inner.model),
                     backend,
                     stats: self.inner.stats.clone(),
+                    contention: self
+                        .inner
+                        .stats
+                        .contention_cell(self.inner.tel.metrics(), name),
                     tel: self.inner.tel.clone(),
                     invalidation_hooks: RwLock::new(Vec::new()),
                 })
@@ -231,6 +235,8 @@ pub struct Collection {
     profile: CostProfile,
     backend: BackendKind,
     stats: DbStats,
+    /// This collection's `db.shard_contention{collection}` cell.
+    contention: Counter,
     tel: Telemetry,
     invalidation_hooks: RwLock<Vec<InvalidationHook>>,
 }
@@ -302,7 +308,7 @@ impl Collection {
         if let Some(g) = lock.try_read() {
             return g;
         }
-        self.note_contention();
+        self.contention.inc();
         lock.read()
     }
 
@@ -312,15 +318,8 @@ impl Collection {
         if let Some(g) = lock.try_write() {
             return g;
         }
-        self.note_contention();
+        self.contention.inc();
         lock.write()
-    }
-
-    fn note_contention(&self) {
-        self.stats.bump_lock_contentions();
-        self.tel
-            .metrics()
-            .inc("db.shard_contention", &[("collection", &self.name)]);
     }
 
     /// Insert a new document; fails on duplicate key.

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ogsa_sim::CostModel;
-use ogsa_telemetry::{SpanKind, Telemetry};
+use ogsa_telemetry::{Counter, SpanKind, Telemetry};
 use ogsa_xml::Element;
 use parking_lot::Mutex;
 
@@ -110,7 +110,11 @@ pub struct DurableBackend {
     acked: AtomicU64,
     /// Ops appended to the WAL since the last recovery/construction.
     appended: AtomicU64,
-    recoveries: AtomicU64,
+    /// The `wal.appends`, `wal.fsyncs` and `wal.recoveries` cells;
+    /// unregistered until [`DurableBackend::with_telemetry`].
+    appends: Counter,
+    synced_appends: Counter,
+    recoveries: Counter,
     /// Replication tap: sees every logged op under the write lock.
     observer: Mutex<Option<Arc<dyn WalObserver>>>,
 }
@@ -162,7 +166,9 @@ impl DurableBackend {
             replaying: AtomicBool::new(false),
             acked: AtomicU64::new(0),
             appended: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
+            appends: Counter::default(),
+            synced_appends: Counter::default(),
+            recoveries: Counter::default(),
             observer: Mutex::new(None),
         }
     }
@@ -181,6 +187,10 @@ impl DurableBackend {
     /// Report WAL counters into `tel` (`wal.appends` / `wal.fsyncs` /
     /// `wal.recoveries`) and open `db:recover` spans there.
     pub fn with_telemetry(mut self, tel: Telemetry) -> DurableBackend {
+        let m = tel.metrics();
+        self.appends = m.cell("wal.appends", &[]);
+        self.synced_appends = m.cell("wal.fsyncs", &[]);
+        self.recoveries = m.cell("wal.recoveries", &[]);
         self.tel = tel;
         self
     }
@@ -219,7 +229,7 @@ impl DurableBackend {
 
     /// Recoveries performed over the backend's lifetime.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
+        self.recoveries.get()
     }
 
     /// Has the medium crashed (writes are no longer being persisted)?
@@ -284,14 +294,14 @@ impl DurableBackend {
         }
         apply_op(&mut inner.mem, &op);
         let outcome = self.wal.append(&op);
-        self.tel.metrics().inc("wal.appends", &[]);
+        self.appends.inc();
         if !outcome.ok {
             self.failed.store(true, Ordering::Relaxed);
             return;
         }
         let appended = self.appended.fetch_add(1, Ordering::Relaxed) + 1;
         if outcome.synced {
-            self.tel.metrics().inc("wal.fsyncs", &[]);
+            self.synced_appends.inc();
             self.acked.store(appended, Ordering::Relaxed);
         }
         // Ship to the replication tap while still holding the write lock,
@@ -341,8 +351,7 @@ impl DurableBackend {
             inner.mem = image;
             self.snapshot_locked(&mut inner);
         }
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.tel.metrics().inc("wal.recoveries", &[]);
+        self.recoveries.inc();
         RecoveryReport {
             used_snapshot,
             wal_records_replayed: ops.len(),

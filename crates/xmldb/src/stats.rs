@@ -6,6 +6,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ogsa_telemetry::{Counter, MetricsRegistry};
+use parking_lot::Mutex;
+
 /// Upper bound on the shard count of any collection; the per-shard busy
 /// accounting below is statically sized to it.
 pub const MAX_SHARDS: usize = 64;
@@ -25,8 +28,9 @@ struct Counters {
     queries: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Times a shard lock was found held and the caller had to wait.
-    lock_contentions: AtomicU64,
+    /// Each collection's contention cell: times a shard lock was found
+    /// held and the caller had to wait.
+    contention: Mutex<Vec<Counter>>,
     /// Virtual microseconds of database work attributed to each shard.
     /// Independent shards could serve this work in parallel, so
     /// `max(shard_busy)` lower-bounds the store's contribution to makespan.
@@ -43,7 +47,7 @@ impl Default for Counters {
             queries: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            lock_contentions: AtomicU64::new(0),
+            contention: Mutex::new(Vec::new()),
             shard_busy_us: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -72,7 +76,19 @@ impl DbStats {
     counter!(bump_queries, queries, queries);
     counter!(bump_cache_hits, cache_hits, cache_hits);
     counter!(bump_cache_misses, cache_misses, cache_misses);
-    counter!(bump_lock_contentions, lock_contentions, lock_contentions);
+
+    /// Register a collection's `db.shard_contention{collection}` cell,
+    /// counted into [`DbStats::lock_contentions`].
+    pub(crate) fn contention_cell(&self, metrics: &MetricsRegistry, collection: &str) -> Counter {
+        let cell = metrics.cell("db.shard_contention", &[("collection", collection)]);
+        self.inner.contention.lock().push(cell.clone());
+        cell
+    }
+
+    /// Contended shard-lock acquisitions, summed over the collections.
+    pub fn lock_contentions(&self) -> u64 {
+        self.inner.contention.lock().iter().map(Counter::get).sum()
+    }
 
     /// Attribute `us` virtual microseconds of store work to `shard`.
     pub fn add_shard_busy(&self, shard: usize, us: u64) {
@@ -112,7 +128,9 @@ impl DbStats {
         self.inner.queries.store(0, Ordering::Relaxed);
         self.inner.cache_hits.store(0, Ordering::Relaxed);
         self.inner.cache_misses.store(0, Ordering::Relaxed);
-        self.inner.lock_contentions.store(0, Ordering::Relaxed);
+        for c in self.inner.contention.lock().iter() {
+            c.reset();
+        }
         for b in &self.inner.shard_busy_us {
             b.store(0, Ordering::Relaxed);
         }
@@ -184,7 +202,8 @@ mod tests {
         let clone = s.clone();
         s.bump_reads();
         s.bump_cache_hits();
-        s.bump_lock_contentions();
+        s.contention_cell(&MetricsRegistry::new(), "c").inc();
+        assert_eq!(s.lock_contentions(), 1);
         s.add_shard_busy(2, 99);
         clone.reset();
         assert!(s.snapshot().iter().all(|(_, v)| *v == 0));
