@@ -25,8 +25,8 @@ use std::time::Instant;
 
 use ogsa_container::{Container, Operation, OperationContext, Testbed, WebService};
 use ogsa_fanout::{
-    CompiledTopic, Deliverer, DelivererConfig, DeliveryPlan, FanoutCosts, ShardedTable, Sink,
-    Subscriber, TopicTrie,
+    CompiledTopic, ContentFilter, Deliverer, DelivererConfig, DeliveryPlan, FanoutCosts,
+    ShardedTable, Sink, Subscriber, TopicTrie,
 };
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
@@ -244,7 +244,12 @@ fn shard_cell(subscribers: usize, shards: usize, events: usize) -> ShardRow {
         "wsn",
     );
     for i in 0..subscribers {
-        table.insert(BenchSub::new(i), TopicShape::Flat.topic(i), false);
+        table.insert(
+            BenchSub::new(i),
+            TopicShape::Flat.topic(i),
+            ContentFilter::All,
+            false,
+        );
     }
     // Charge only the delivery phase against the makespan: snapshot the
     // insert-phase busy time and subtract it per shard.
@@ -316,7 +321,7 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
         } else {
             CompiledTopic::match_all()
         };
-        table.insert(BenchSub::new(i), topic, false);
+        table.insert(BenchSub::new(i), topic, ContentFilter::All, false);
     }
 
     let deliveries = Arc::new(AtomicU64::new(0));

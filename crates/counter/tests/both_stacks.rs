@@ -3,9 +3,13 @@
 
 use std::time::Duration;
 
-use ogsa_container::Testbed;
+use ogsa_addressing::EndpointReference;
+use ogsa_container::{InvokeError, Testbed};
+use ogsa_counter::wsrf_counter::VALUE_CHANGED_TOPIC;
 use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
 use ogsa_security::SecurityPolicy;
+use ogsa_wsn::base::{actions, SubscribeRequest};
+use ogsa_wsn::TopicExpression;
 
 const WAIT: Duration = Duration::from_secs(3);
 
@@ -196,4 +200,27 @@ fn wsrf_batch_create_amortises_and_leaves_single_create_cost_alone() {
         single_after.as_micros() >= tb.model().db_insert_us,
         "single create must still pay the full insert cost"
     );
+}
+
+#[test]
+fn wsrf_subscribe_faults_a_selector_that_does_not_compile() {
+    // WS-BaseNotification's InvalidMessageContentExpressionFault, raised
+    // at Subscribe (WS-Eventing's `invalid filter` twin), not a
+    // subscription that silently never matches.
+    let tb = Testbed::free();
+    let container = tb.container("host-a", SecurityPolicy::None);
+    let counter = WsrfCounter::deploy(&container);
+    let client = tb.client("host-b", "CN=alice,O=VO", SecurityPolicy::None);
+    let req = SubscribeRequest::new(
+        EndpointReference::service("tcp://host-b/consumer"),
+        TopicExpression::concrete(VALUE_CHANGED_TOPIC),
+    )
+    .with_selector("///bad");
+    match client.invoke(&counter.service_epr, actions::SUBSCRIBE, req.to_element()) {
+        Err(InvokeError::Fault(f)) => assert!(
+            f.reason.contains("InvalidMessageContentExpressionFault"),
+            "{f}"
+        ),
+        other => panic!("Subscribe with `///bad` must fault, got {other:?}"),
+    }
 }

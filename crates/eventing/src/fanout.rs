@@ -19,9 +19,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use ogsa_fanout::{CompiledTopic, FanoutCosts, FanoutStats, ShardedTable};
+use ogsa_fanout::{CompiledTopic, ContentFilter, FanoutCosts, FanoutStats, ShardedTable};
 use ogsa_sim::{CostModel, SimInstant, VirtualClock};
 use ogsa_telemetry::Telemetry;
+use ogsa_xml::Element;
 use parking_lot::Mutex;
 
 use crate::store::EventSubscription;
@@ -30,6 +31,10 @@ use crate::store::EventSubscription;
 /// `Unsubscribe`): the notification manager's deliverer discards parked
 /// batches, etc.
 pub type EvictHook = Arc<dyn Fn(&str) + Send + Sync>;
+
+/// The one topic path every WS-Eventing resolve walks (entries are all
+/// match-all).
+const EVENT_PATH: &[&str] = &["event"];
 
 /// Min-heap of `(expires_micros, sub_id)` — the earliest-due entry on top.
 type ExpiryHeap = BinaryHeap<Reverse<(u64, String)>>;
@@ -75,11 +80,14 @@ impl EventIndex {
         self.evict_hooks.lock().push(hook);
     }
 
-    pub fn insert(&self, sub: EventSubscription) {
+    /// Index a subscription with its compiled filter (the one Subscribe
+    /// validated).
+    pub fn insert(&self, sub: EventSubscription, filter: ContentFilter) {
         if let Some(t) = sub.expires {
             self.expiries.lock().push(Reverse((t.0, sub.id.clone())));
         }
-        self.table.insert(sub, CompiledTopic::match_all(), false);
+        self.table
+            .insert(sub, CompiledTopic::match_all(), filter, false);
     }
 
     /// Renewals: replace the indexed payload and re-arm the watermark.
@@ -113,11 +121,12 @@ impl EventIndex {
         due
     }
 
-    /// Every live subscription, sorted by id — one wildcard-shard trie walk
-    /// priced at a cache hit per candidate, replacing the seed's full
-    /// flat-file re-parse per trigger.
-    pub fn all_active(&self) -> Vec<EventSubscription> {
-        self.table.resolve(&["event"])
+    /// The live subscriptions whose compiled filter passes `event`,
+    /// sorted by id — one wildcard-shard trie walk priced at a cache hit
+    /// per live subscription (filtered or not), replacing the seed's full
+    /// flat-file re-parse per trigger, and cloning only the matches.
+    pub fn matching(&self, event: &Element) -> Vec<EventSubscription> {
+        self.table.resolve_matching(EVENT_PATH, event)
     }
 
     pub fn len(&self) -> usize {
@@ -152,17 +161,21 @@ mod tests {
     #[test]
     fn match_all_entries_resolve_for_any_event() {
         let idx = EventIndex::free();
-        idx.insert(sub("a", None));
-        idx.insert(sub("b", None));
-        let ids: Vec<String> = idx.all_active().into_iter().map(|s| s.id).collect();
+        idx.insert(sub("a", None), ContentFilter::All);
+        idx.insert(sub("b", None), ContentFilter::All);
+        let ids: Vec<String> = idx
+            .matching(&Element::new("e"))
+            .into_iter()
+            .map(|s| s.id)
+            .collect();
         assert_eq!(ids, ["a", "b"]);
     }
 
     #[test]
     fn expiry_watermark_fires_once_per_due_entry() {
         let idx = EventIndex::free();
-        idx.insert(sub("a", Some(100)));
-        idx.insert(sub("b", None));
+        idx.insert(sub("a", Some(100)), ContentFilter::All);
+        idx.insert(sub("b", None), ContentFilter::All);
         assert!(!idx.expiry_due(SimInstant(50)), "nothing due yet");
         assert!(idx.expiry_due(SimInstant(150)), "a is due");
         assert!(!idx.expiry_due(SimInstant(200)), "watermark consumed");
@@ -171,7 +184,7 @@ mod tests {
     #[test]
     fn renew_rearms_the_watermark() {
         let idx = EventIndex::free();
-        idx.insert(sub("a", Some(100)));
+        idx.insert(sub("a", Some(100)), ContentFilter::All);
         assert!(idx.update(sub("a", Some(300))));
         // The stale entry fires (conservative), but the renewed one still
         // covers the new expiry.
@@ -186,10 +199,10 @@ mod tests {
         let hits = Arc::new(Mutex::new(Vec::new()));
         let seen = hits.clone();
         idx.on_evict(Arc::new(move |id| seen.lock().push(id.to_owned())));
-        idx.insert(sub("a", None));
+        idx.insert(sub("a", None), ContentFilter::All);
         assert!(idx.evict("a"));
         assert!(!idx.evict("a"), "second evict is a no-op");
         assert_eq!(&*hits.lock(), &["a".to_owned()]);
-        assert!(idx.all_active().is_empty());
+        assert!(idx.matching(&Element::new("e")).is_empty());
     }
 }

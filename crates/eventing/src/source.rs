@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
 use ogsa_container::{ClientAgent, Container, Operation, OperationContext, WebService};
-use ogsa_fanout::{Deliverer, DelivererConfig, Sink};
+use ogsa_fanout::{ContentFilter, Deliverer, DelivererConfig, Sink};
 use ogsa_soap::Fault;
-use ogsa_xml::{Element, XPath, XPathContext};
+use ogsa_xml::{Element, XPath};
 
 use crate::delivery::{DeliveryMode, PushDelivery};
 use crate::fanout::EventIndex;
@@ -87,11 +87,15 @@ impl WebService for EventSourceService {
                         req.mode
                     )));
                 }
-                // Validate the filter eagerly so bad XPath faults at
-                // subscribe time, not delivery time.
-                if let Some(f) = &req.filter {
-                    XPath::compile(f).map_err(|e| Fault::client(format!("invalid filter: {e}")))?;
-                }
+                // Compile the filter once, here: a bad XPath faults at
+                // subscribe time, and the index keeps the compiled form.
+                let filter = match &req.filter {
+                    None => ContentFilter::All,
+                    Some(f) => ContentFilter::from_xpath(
+                        XPath::compile(f)
+                            .map_err(|e| Fault::client(format!("invalid filter: {e}")))?,
+                    ),
+                };
                 let id = format!("es-{}", self.seq.fetch_add(1, Ordering::Relaxed));
                 let sub = EventSubscription {
                     id: id.clone(),
@@ -104,7 +108,7 @@ impl WebService for EventSourceService {
                 // The flat file stays the charged store of record; the
                 // index mirrors it for cache-hit-priced fan-out.
                 self.store.insert(sub.clone());
-                self.index.insert(sub);
+                self.index.insert(sub, filter);
                 let manager = EndpointReference::resource(self.manager_address.clone(), id);
                 let _ = ctx;
                 Ok(SubscribeRequest::response(&manager, req.expires))
@@ -228,14 +232,8 @@ impl NotificationManager {
         }
         let matching: Vec<_> = self
             .index
-            .all_active()
+            .matching(&event)
             .into_iter()
-            .filter(|sub| match &sub.filter {
-                None => true,
-                Some(f) => XPath::compile(f)
-                    .and_then(|xp| xp.matches(&event, &XPathContext::new()))
-                    .unwrap_or(false),
-            })
             .filter(|sub| self.modes.contains_key(&sub.mode))
             .collect();
         // Each delivery owns its message body, but the last one can take

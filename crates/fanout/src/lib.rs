@@ -13,6 +13,10 @@
 //!   telemetry (`wsn.shard_contention`) and per-shard busy attribution so
 //!   the PR-3 makespan model (`rps = work / max-shard-busy`) applies to
 //!   fan-out exactly as it does to the database.
+//!   Each entry carries its message-content filter compiled once at
+//!   insert ([`filter::ContentFilter`], with an attribute-equality fast
+//!   path); [`table::ShardedTable::resolve_matching`] applies it under the
+//!   shard lock for both stacks at the topic-only resolve charge.
 //! * [`trie::TopicTrie`] — a precompiled WS-Topics trie over interned path
 //!   segments, with `*` (one-segment) and `//` (any-depth) wildcard nodes;
 //!   resolves a concrete topic path to its subscriber set in one walk. The
@@ -31,10 +35,12 @@
 //! wouldn't. Its sink also never coalesces multiple events into one
 //! envelope, because WS-Eventing's spec has no batch container.
 
+pub mod filter;
 pub mod outbox;
 pub mod table;
 pub mod trie;
 
+pub use filter::ContentFilter;
 pub use outbox::{Deliverer, DelivererConfig, DeliveryPlan, LedgerEntry, RedeliveryLedger, Sink};
 pub use table::{FanoutCosts, FanoutStats, ShardedTable, Subscriber};
 pub use trie::{CompiledTopic, Seg, TopicTrie};

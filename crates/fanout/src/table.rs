@@ -21,9 +21,11 @@ use std::sync::Arc;
 use ogsa_addressing::EndpointReference;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_telemetry::{Counter, MetricsRegistry, Telemetry};
+use ogsa_xml::Element;
 use ogsa_xmldb::fnv1a;
 use parking_lot::{Mutex, RwLock};
 
+use crate::filter::ContentFilter;
 use crate::trie::{CompiledTopic, TopicTrie};
 
 /// What the fan-out core needs to know about a stack's subscription type.
@@ -41,7 +43,8 @@ pub trait Subscriber: Clone + Send + Sync + 'static {
 pub struct FanoutCosts {
     /// Fixed cost per resolve (the trie walk).
     pub resolve_fixed: SimDuration,
-    /// Per matched candidate (entry clone + filter hand-off).
+    /// Per topic-matched unpaused candidate (content-filter test + entry
+    /// clone), whether or not its filter passes.
     pub per_candidate: SimDuration,
     /// Per table mutation (insert/remove/pause).
     pub mutate: SimDuration,
@@ -219,6 +222,7 @@ impl<T> Default for Shard<T> {
 
 struct Entry<T> {
     paused: bool,
+    filter: ContentFilter,
     sub: T,
 }
 
@@ -320,8 +324,9 @@ impl<T: Subscriber> ShardedTable<T> {
         self.shards[shard].read()
     }
 
-    /// Insert (or replace) a subscription under its compiled expression.
-    pub fn insert(&self, sub: T, topic: CompiledTopic, paused: bool) {
+    /// Insert (or replace) a subscription under its compiled topic
+    /// expression and content filter.
+    pub fn insert(&self, sub: T, topic: CompiledTopic, filter: ContentFilter, paused: bool) {
         self.remove(sub.sub_id());
         let shard = self.shard_for_topic(&topic);
         let reg = self.next_reg.fetch_add(1, Ordering::Relaxed);
@@ -330,7 +335,14 @@ impl<T: Subscriber> ShardedTable<T> {
         {
             let mut s = self.write_shard(shard);
             s.trie.insert(reg, &topic);
-            s.entries.insert(reg, Entry { paused, sub });
+            s.entries.insert(
+                reg,
+                Entry {
+                    paused,
+                    filter,
+                    sub,
+                },
+            );
         }
         self.locations.lock().insert(id, Location { shard, reg });
         self.stats.inner.subscribers[shard].fetch_add(1, Ordering::Relaxed);
@@ -396,7 +408,10 @@ impl<T: Subscriber> ShardedTable<T> {
         self.len() == 0
     }
 
-    fn collect_shard(&self, shard: usize, path: &[&str], out: &mut Vec<T>) -> usize {
+    /// Hand every unpaused entry of one shard whose topic matches `path`
+    /// to `visit`, under the shard's read lock; returns how many there
+    /// were (what the resolve is charged for).
+    fn scan_shard(&self, shard: usize, path: &[&str], visit: &mut impl FnMut(&Entry<T>)) -> usize {
         let s = self.read_shard(shard);
         let mut ids = Vec::new();
         s.trie.resolve(path, &mut ids);
@@ -404,7 +419,7 @@ impl<T: Subscriber> ShardedTable<T> {
         for reg in ids {
             if let Some(e) = s.entries.get(&reg) {
                 if !e.paused {
-                    out.push(e.sub.clone());
+                    visit(e);
                     n += 1;
                 }
             }
@@ -412,30 +427,61 @@ impl<T: Subscriber> ShardedTable<T> {
         n
     }
 
-    /// Resolve a concrete topic path to its unpaused subscriber set in one
-    /// trie walk per consulted shard (the routed shard + the wildcard
-    /// shard). Results are sorted by subscription id, which matches the
-    /// BTreeMap document order the naive database scan produced — so the
-    /// delivery order (and therefore every virtual-time figure) is
-    /// unchanged by the index.
-    pub fn resolve(&self, path: &[&str]) -> Vec<T> {
-        let mut out = Vec::new();
+    /// One trie walk per consulted shard (the routed shard + the wildcard
+    /// shard), charged `resolve_fixed + per_candidate × candidates` — the
+    /// same whatever `visit` keeps, so content filtering never moves a
+    /// virtual-time figure.
+    fn scan(&self, path: &[&str], mut visit: impl FnMut(&Entry<T>)) {
         if path.is_empty() {
-            return out;
+            return;
         }
         let shard = self.shard_of(path[0]);
-        let n = self.collect_shard(shard, path, &mut out);
+        let n = self.scan_shard(shard, path, &mut visit);
         self.charge(
             shard,
             self.costs.resolve_fixed + self.costs.per_candidate * n as u64,
         );
         let wild = self.wild();
-        let w = self.collect_shard(wild, path, &mut out);
+        let w = self.scan_shard(wild, path, &mut visit);
         if w > 0 {
             self.charge(wild, self.costs.per_candidate * w as u64);
         }
+    }
+
+    /// Resolve a concrete topic path to its unpaused subscriber set,
+    /// ignoring content filters. Results are sorted by subscription id,
+    /// which matches the BTreeMap document order the naive database scan
+    /// produced — so the delivery order (and therefore every virtual-time
+    /// figure) is unchanged by the index.
+    pub fn resolve(&self, path: &[&str]) -> Vec<T> {
+        let mut out = Vec::new();
+        self.scan(path, |e| out.push(e.sub.clone()));
         out.sort_by(|a, b| a.sub_id().cmp(b.sub_id()));
         out
+    }
+
+    /// The subscribers a notification on `path` carrying `message` is
+    /// delivered to: [`ShardedTable::resolve`] narrowed by each entry's
+    /// compiled content filter, evaluated under the shard lock so only
+    /// the delivered entries are cloned. Same order and same charge as
+    /// `resolve`.
+    pub fn resolve_matching(&self, path: &[&str], message: &Element) -> Vec<T> {
+        let mut out = Vec::new();
+        self.scan(path, |e| {
+            if e.filter.accepts(message) {
+                out.push(e.sub.clone());
+            }
+        });
+        out.sort_by(|a, b| a.sub_id().cmp(b.sub_id()));
+        out
+    }
+
+    /// Does any unpaused subscription match `path` by topic? Charged like
+    /// `resolve`, without cloning an entry.
+    pub fn has_active(&self, path: &[&str]) -> bool {
+        let mut any = false;
+        self.scan(path, |_| any = true);
+        any
     }
 
     /// Every indexed subscription (paused included), sorted by id — the
@@ -483,12 +529,17 @@ mod tests {
         ShardedTable::free(shards, "wsn")
     }
 
+    /// Insert an unpaused, unfiltered subscription.
+    fn add(t: &ShardedTable<Sub>, sub: Sub, topic: CompiledTopic) {
+        t.insert(sub, topic, ContentFilter::All, false);
+    }
+
     #[test]
     fn routes_by_root_and_consults_wildcard_shard() {
         let t = table(8);
-        t.insert(Sub::new("a"), CompiledTopic::simple("jobs"), false);
-        t.insert(Sub::new("b"), CompiledTopic::full("//exited"), false);
-        t.insert(Sub::new("c"), CompiledTopic::concrete("data/x"), false);
+        add(&t, Sub::new("a"), CompiledTopic::simple("jobs"));
+        add(&t, Sub::new("b"), CompiledTopic::full("//exited"));
+        add(&t, Sub::new("c"), CompiledTopic::concrete("data/x"));
         let hits = t.resolve(&["jobs", "exited"]);
         let ids: Vec<&str> = hits.iter().map(|s| s.sub_id()).collect();
         assert_eq!(ids, ["a", "b"]);
@@ -498,7 +549,7 @@ mod tests {
     #[test]
     fn paused_entries_do_not_resolve() {
         let t = table(4);
-        t.insert(Sub::new("a"), CompiledTopic::simple("t"), false);
+        add(&t, Sub::new("a"), CompiledTopic::simple("t"));
         assert_eq!(t.resolve(&["t"]).len(), 1);
         assert!(t.set_paused("a", true));
         assert!(t.resolve(&["t"]).is_empty());
@@ -509,7 +560,7 @@ mod tests {
     #[test]
     fn remove_evicts_immediately() {
         let t = table(4);
-        t.insert(Sub::new("a"), CompiledTopic::simple("t"), false);
+        add(&t, Sub::new("a"), CompiledTopic::simple("t"));
         assert!(t.remove("a"));
         assert!(!t.remove("a"));
         assert!(t.resolve(&["t"]).is_empty());
@@ -519,8 +570,8 @@ mod tests {
     #[test]
     fn reinsert_replaces() {
         let t = table(4);
-        t.insert(Sub::new("a"), CompiledTopic::simple("t"), false);
-        t.insert(Sub::new("a"), CompiledTopic::simple("u"), false);
+        add(&t, Sub::new("a"), CompiledTopic::simple("t"));
+        add(&t, Sub::new("a"), CompiledTopic::simple("u"));
         assert_eq!(t.len(), 1);
         assert!(t.resolve(&["t"]).is_empty());
         assert_eq!(t.resolve(&["u"]).len(), 1);
@@ -530,7 +581,7 @@ mod tests {
     fn resolve_order_is_lexicographic_by_id() {
         let t = table(2);
         for id in ["sub-2", "sub-0", "sub-10", "sub-1"] {
-            t.insert(Sub::new(id), CompiledTopic::simple("t"), false);
+            add(&t, Sub::new(id), CompiledTopic::simple("t"));
         }
         let ids: Vec<String> = t.resolve(&["t"]).into_iter().map(|s| s.id).collect();
         assert_eq!(ids, ["sub-0", "sub-1", "sub-10", "sub-2"]);
@@ -552,11 +603,7 @@ mod tests {
                 "wsn",
             );
             for i in 0..10 {
-                t.insert(
-                    Sub::new(&format!("s{i}")),
-                    CompiledTopic::simple("t"),
-                    false,
-                );
+                add(&t, Sub::new(&format!("s{i}")), CompiledTopic::simple("t"));
             }
             let before = clock.now();
             assert_eq!(t.resolve(&["t", "x"]).len(), 10);
@@ -584,11 +631,7 @@ mod tests {
         );
         for i in 0..64 {
             let root = format!("root{i}");
-            t.insert(
-                Sub::new(&format!("s{i}")),
-                CompiledTopic::simple(&root),
-                false,
-            );
+            add(&t, Sub::new(&format!("s{i}")), CompiledTopic::simple(&root));
             t.resolve(&[root.as_str()]);
         }
         let busy = t.stats().busy_us();
@@ -598,5 +641,60 @@ mod tests {
             t.stats().max_busy_us() < 640,
             "no shard absorbed everything"
         );
+    }
+
+    #[test]
+    fn resolve_matching_filters_at_the_topic_only_charge() {
+        let clock = VirtualClock::new();
+        let t = ShardedTable::new(
+            4,
+            clock.clone(),
+            FanoutCosts {
+                resolve_fixed: SimDuration::from_micros(7),
+                per_candidate: SimDuration::from_micros(3),
+                mutate: SimDuration::ZERO,
+            },
+            Telemetry::disabled(),
+            "wsn",
+        );
+        let filter = |f: &str| ContentFilter::compile(Some(f));
+        t.insert(
+            Sub::new("a"),
+            CompiledTopic::simple("t"),
+            filter("/M[@k='1']"),
+            false,
+        );
+        t.insert(
+            Sub::new("b"),
+            CompiledTopic::simple("t"),
+            filter("/M[@k='2']"),
+            false,
+        );
+        t.insert(
+            Sub::new("c"),
+            CompiledTopic::full("//x"),
+            filter("/M[n > 1]"),
+            false,
+        );
+        t.insert(
+            Sub::new("d"),
+            CompiledTopic::simple("t"),
+            ContentFilter::All,
+            true,
+        );
+        let msg = Element::new("M")
+            .with_attr("k", "1")
+            .with_child(Element::text_element("n", "5"));
+        let before = clock.now();
+        let hits = t.resolve_matching(&["t", "x"], &msg);
+        let ids: Vec<&str> = hits.iter().map(|s| s.sub_id()).collect();
+        assert_eq!(ids, ["a", "c"]);
+        // Three unpaused topic matches are charged, though only two pass.
+        assert_eq!(
+            clock.now().since(before),
+            SimDuration::from_micros(7 + 3 * 3)
+        );
+        assert!(t.has_active(&["t"]));
+        assert!(!t.has_active(&["u"]));
     }
 }

@@ -23,11 +23,11 @@ use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
 use ogsa_container::{Container, Operation, OperationContext};
-use ogsa_fanout::{FanoutCosts, ShardedTable};
+use ogsa_fanout::{ContentFilter, FanoutCosts, ShardedTable};
 use ogsa_soap::Fault;
 use ogsa_wsrf::service_base::{PortType, ServiceBase, WsrfService, WsrfServiceHost};
 use ogsa_wsrf::{ResourceDocument, TerminationTime};
-use ogsa_xml::Element;
+use ogsa_xml::{Element, XPath};
 use parking_lot::Mutex;
 
 use crate::base::{actions, SubscribeRequest, Subscription};
@@ -71,6 +71,14 @@ impl SubscriptionStore {
         ctx: &OperationContext,
         req: &SubscribeRequest,
     ) -> Result<EndpointReference, Fault> {
+        // WS-BaseNotification faults a selector it cannot evaluate; it is
+        // compiled here once, and the index keeps the compiled form.
+        let filter = match &req.selector {
+            None => ContentFilter::All,
+            Some(expr) => ContentFilter::from_xpath(XPath::compile(expr).map_err(|e| {
+                Fault::client(format!("InvalidMessageContentExpressionFault: {e}"))
+            })?),
+        };
         let id = format!("sub-{}", self.seq.fetch_add(1, Ordering::Relaxed));
         let sub = Subscription {
             id: id.clone(),
@@ -81,7 +89,7 @@ impl SubscriptionStore {
             use_notify: req.use_notify,
         };
         self.base.create_with_id(ctx, &id, sub.to_document())?;
-        self.index.insert(sub, req.topic.compile(), false);
+        self.index.insert(sub, req.topic.compile(), filter, false);
         // Clients can request an initial lifetime; the manager controls it
         // thereafter (§2.1). The destructor evicts from the fan-out index
         // *at expiry*, not lazily on the next notify — an expired
@@ -108,15 +116,10 @@ impl SubscriptionStore {
     }
 
     /// All unpaused subscriptions whose filters pass for (topic, message):
-    /// one trie walk over the routed shard + the wildcard shard, then the
-    /// message-content selector on the survivors.
+    /// one trie walk over the routed shard + the wildcard shard, testing
+    /// each candidate's compiled selector under the shard lock.
     pub fn active_matching(&self, topic: &TopicPath, message: &Element) -> Vec<Subscription> {
-        let segs: Vec<&str> = topic.segments().iter().map(String::as_str).collect();
-        self.index
-            .resolve(&segs)
-            .into_iter()
-            .filter(|s| s.selector_accepts(message))
-            .collect()
+        self.index.resolve_matching(&segments(topic), message)
     }
 
     /// The seed's matcher: a full database scan testing every subscription
@@ -139,8 +142,7 @@ impl SubscriptionStore {
     /// Is there at least one unpaused subscription matching `topic`? The
     /// broker's demand bookkeeping — an index resolve, not a table scan.
     pub fn has_active_matching(&self, topic: &TopicPath) -> bool {
-        let segs: Vec<&str> = topic.segments().iter().map(String::as_str).collect();
-        !self.index.resolve(&segs).is_empty()
+        self.index.has_active(&segments(topic))
     }
 
     /// All subscriptions, paused or not.
@@ -157,6 +159,10 @@ impl SubscriptionStore {
     pub fn manager_address(&self) -> &str {
         &self.manager_address
     }
+}
+
+fn segments(topic: &TopicPath) -> Vec<&str> {
+    topic.segments().iter().map(String::as_str).collect()
 }
 
 /// The deployable Subscription Manager Service.
@@ -213,7 +219,11 @@ impl SubscriptionManagerService {
                 }
                 let paused = sub.paused;
                 let topic = sub.topic.compile();
-                index.insert(sub, topic, paused);
+                // A stored selector that does not compile (written before
+                // Subscribe validated selectors) becomes `Never`: indexed,
+                // but it matches nothing.
+                let filter = ContentFilter::compile(sub.selector.as_deref());
+                index.insert(sub, topic, filter, paused);
             }
         }
         let store = SubscriptionStore {

@@ -165,6 +165,46 @@ impl XPath {
         Ok(self.evaluate(root, ctx)?.truthy())
     }
 
+    /// The `/Name[@attr='literal']` shape (either operand order) as
+    /// `(element local, attribute local, literal)`, or `None` for any
+    /// other expression. Unprefixed names only, no `//`, exactly one
+    /// predicate. For a recognised expression, `matches(root)` is exactly
+    /// `root`'s local name is `Name` and `root.attr_local(attr) ==
+    /// Some(literal)` — the notification content filters' fast path.
+    pub fn attr_equality(&self) -> Option<(&str, &str, &str)> {
+        let Expr::Path(path) = &self.expr else {
+            return None;
+        };
+        let [step] = path.steps.as_slice() else {
+            return None;
+        };
+        let StepTest::Name { ns: None, local } = &step.test else {
+            return None;
+        };
+        let [Expr::Cmp(a, CmpOp::Eq, b)] = step.predicates.as_slice() else {
+            return None;
+        };
+        if !path.absolute || step.descend {
+            return None;
+        }
+        let (attr_path, literal) = match (a.as_ref(), b.as_ref()) {
+            (Expr::Path(p), Expr::Literal(l)) | (Expr::Literal(l), Expr::Path(p)) => (p, l),
+            _ => return None,
+        };
+        let [Step {
+            descend: false,
+            test: StepTest::Attr { local: attr },
+            predicates,
+        }] = attr_path.steps.as_slice()
+        else {
+            return None;
+        };
+        if attr_path.absolute || !predicates.is_empty() || attr.contains(':') {
+            return None;
+        }
+        Some((local, attr, literal))
+    }
+
     /// Evaluate, requiring a node-set result — the query entry point.
     pub fn select<'a>(
         &'a self,
@@ -1045,6 +1085,79 @@ mod tests {
         // Grammar permits it; evaluation rejects it.
         if let Ok(xp) = xp {
             assert!(xp.evaluate(&d, &XPathContext::new()).is_err());
+        }
+    }
+
+    #[test]
+    fn attr_equality_recognises_both_operand_orders() {
+        for src in [
+            "/N[@a='v']",
+            "/N['v'=@a]",
+            "/N[ @a = \"v\" ]",
+            "/N[(@a='v')]",
+        ] {
+            let xp = XPath::compile(src).unwrap();
+            assert_eq!(xp.attr_equality(), Some(("N", "a", "v")), "{src}");
+        }
+    }
+
+    #[test]
+    fn attr_equality_rejects_other_shapes() {
+        for src in [
+            "/p:N[@a='v']",
+            "//N[@a='v']",
+            "/N[@a='v'][@b='w']",
+            "/N[@a!='v']",
+            "/N[a='v']",
+            "/N[@a=5]",
+            "/N[@p:a='v']",
+            "/N[@*='v']",
+            "/N/M[@a='v']",
+            "N[@a='v']",
+            "/N[@a='v' and @b='w']",
+            "/N",
+            "/*[@a='v']",
+            "/N[/@a='v']",
+            "/N[@a='v' or @a='w']",
+        ] {
+            let xp = XPath::compile(src).unwrap();
+            assert_eq!(xp.attr_equality(), None, "{src}");
+        }
+    }
+
+    #[test]
+    fn attr_equality_agrees_with_the_evaluator() {
+        let corpus = [
+            r#"<N a="v"/>"#,
+            r#"<N a="w"/>"#,
+            r#"<N b="v"/>"#,
+            r#"<M a="v"/>"#,
+            r#"<x:N xmlns:x="urn:x" a="v"/>"#,
+            r#"<N xmlns:x="urn:x" x:a="v"/>"#,
+            r#"<N xmlns:x="urn:x" x:a="w" a="v"/>"#,
+            r#"<N xmlns:x="urn:x" x:a="v" a="w"/>"#,
+            r#"<N a=""/>"#,
+            r#"<N a="v "/>"#,
+            r#"<N><a>v</a></N>"#,
+            r#"<N a="v"><N a="w"/></N>"#,
+        ];
+        let exprs = [
+            "/N[@a='v']",
+            "/N['v'=@a]",
+            "/N[@a='w']",
+            "/N[@a='']",
+            "/M[@a='v']",
+            "/N[@b='v']",
+        ];
+        for src in exprs {
+            let xp = XPath::compile(src).unwrap();
+            let (elem, attr, lit) = xp.attr_equality().expect(src);
+            for doc in corpus {
+                let root = parse(doc).unwrap();
+                let fast = &*root.name.local == elem && root.attr_local(attr) == Some(lit);
+                let slow = xp.matches(&root, &XPathContext::new()).unwrap();
+                assert_eq!(fast, slow, "{src} over {doc}");
+            }
         }
     }
 
