@@ -9,8 +9,8 @@
 //!    connections, closed loop. Gate: every connection establishes and no
 //!    request errors.
 //! 2. **Closed 32** — the acceptance comparison point. Gate: sustained rps
-//!    within [`MAX_RPS_RATIO`]x of the in-process multi-client harness at
-//!    the same client count, p99 under [`P99_MAX_US`].
+//!    within `MAX_RPS_RATIO`x of the in-process multi-client harness at
+//!    the same client count, p99 under `P99_MAX_US`.
 //! 3. **Open loop** — arrivals at a fixed fraction of the measured closed
 //!    capacity, so the tail figures include queueing delay rather than
 //!    just service time.

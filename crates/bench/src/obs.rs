@@ -4,7 +4,7 @@
 //!
 //! Two servers over one span-quiet testbed serve the same signed
 //! WS-Transfer counter: one with the live observability plane enabled
-//! (wall-clock shards + flight recorder + admin port), one
+//! (wall-clock latency cells + flight recorder + admin port), one
 //! instrumentation-stripped. The load generator alternates between them
 //! for several rounds (best-of to damp host noise) and the gates check:
 //!
@@ -16,7 +16,7 @@
 //!    bucket resolves to a fully-retained flight trace (spans included).
 //! 3. **Overhead** — rounds are *paired* (stripped then instrumented,
 //!    back to back, so both arms see the same host conditions) and the
-//!    best pair must show instrumented rps within [`MAX_REGRESSION`] of
+//!    best pair must show instrumented rps within `MAX_REGRESSION` of
 //!    stripped and instrumented p99 within the same factor plus one
 //!    log-bucket of slack. Pairing is what makes a ≤5% gate meaningful
 //!    on shared CI hosts, where round-to-round drift alone exceeds 10%.

@@ -10,7 +10,7 @@
 //! ratio meaningful on any machine.
 //!
 //! Fails if the signed counter round-trip is not at least
-//! [`MIN_SIGNED_SPEEDUP`]x faster than the in-process baseline, so CI gates
+//! `MIN_SIGNED_SPEEDUP`x faster than the in-process baseline, so CI gates
 //! on the fast path staying fast.
 
 use std::process::ExitCode;

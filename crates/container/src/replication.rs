@@ -1,10 +1,10 @@
 //! Multi-host replication seams for the testbed: the [`NetFabric`] carries
 //! replication traffic across the simulated [`Network`] (judged by the
-//! PR-1 [`FaultPlan`] machinery, charged **zero** virtual time), and the
-//! [`ReplicaSet`] owns the failover choreography — promote the
-//! longest-acked survivor when the fault plan partitions the primary,
-//! rebuild the promoted host's database from the converged image, truncate
-//! the deposed primary's unacked tail when it rejoins.
+//! [`FaultPlan`](ogsa_transport::FaultPlan) machinery, charged **zero**
+//! virtual time), and the [`ReplicaSet`] owns the failover choreography —
+//! promote the longest-acked survivor when the fault plan partitions the
+//! primary, rebuild the promoted host's database from the converged image,
+//! truncate the deposed primary's unacked tail when it rejoins.
 //!
 //! Replication deliberately does not ride [`ogsa_transport::Port::call`]:
 //! a port call advances the virtual clock (connect, SOAP encode, RTT), so

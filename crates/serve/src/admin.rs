@@ -3,11 +3,12 @@
 //! A second listener (the *admin port*) rides on the same acceptor and
 //! worker epoll loops as the service port, answering bodyless GETs:
 //!
-//! * `GET /metrics` — Prometheus text exposition of the merged
-//!   [`MetricsRegistry`](ogsa_telemetry::MetricsRegistry) plus the
-//!   per-worker wall-clock latency histogram (merged lazily at scrape
-//!   time; workers never synchronise on the hot path) with tail-latency
-//!   exemplars linking buckets to flight-recorder traces.
+//! * `GET /metrics` — Prometheus text exposition of one gathered
+//!   [`MetricsRegistry`](ogsa_telemetry::MetricsRegistry) snapshot. Each
+//!   worker records request latency into its own cell of the
+//!   `serve.request_wall_us` histogram (merged at scrape time; workers
+//!   never synchronise on the hot path), whose buckets carry tail-latency
+//!   exemplars linking them to flight-recorder traces.
 //! * `GET /healthz` — liveness: answers 200 while the process serves.
 //! * `GET /readyz` — readiness: 200 only after startup completes, until
 //!   shutdown begins, and while every registered probe (e.g. the WAL
@@ -26,10 +27,8 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use ogsa_telemetry::prometheus::{render, render_wall_histogram};
-use ogsa_telemetry::{
-    ExemplarStore, FlightRecorder, MetricsSnapshot, ShardedWallHistogram, Telemetry,
-};
+use ogsa_telemetry::prometheus::render;
+use ogsa_telemetry::{ExemplarStore, FlightRecorder, Histogram, MetricsSnapshot, Telemetry};
 use parking_lot::Mutex;
 
 use crate::conn::{Dispatch, Request};
@@ -49,8 +48,6 @@ pub struct ObsConfig {
     pub slow_threshold_us: u64,
     /// Capacity of the slow-trace ring.
     pub slow_capacity: usize,
-    /// Capacity of the fast-traffic reservoir.
-    pub reservoir_capacity: usize,
 }
 
 impl Default for ObsConfig {
@@ -60,7 +57,6 @@ impl Default for ObsConfig {
             admin_addr: "127.0.0.1:0".to_owned(),
             slow_threshold_us: ogsa_telemetry::flight::DEFAULT_SLOW_THRESHOLD_US,
             slow_capacity: ogsa_telemetry::flight::DEFAULT_SLOW_CAPACITY,
-            reservoir_capacity: ogsa_telemetry::flight::DEFAULT_RESERVOIR_CAPACITY,
         }
     }
 }
@@ -92,10 +88,17 @@ pub enum ReadyState {
 /// disk; anything else the embedding process cares about can join.
 pub type ReadyProbe = Box<dyn Fn() -> Result<(), String> + Send + Sync>;
 
+/// The network-wide request-latency histogram series; every worker of
+/// every plane-enabled server on the network owns one cell of it.
+const REQUEST_WALL_US: &str = "serve.request_wall_us";
+
 /// Per-worker liveness gauges, updated with relaxed stores from the
-/// worker's own loop and read only at scrape time.
+/// worker's own loop and read only at scrape time, plus the worker's
+/// request-latency cell.
 #[derive(Debug, Default)]
 pub struct WorkerGauges {
+    /// This worker's cell of the `serve.request_wall_us` series.
+    pub latency: Histogram,
     /// Epoll wakeups (returns from `epoll_wait`) in this worker.
     pub wakeups: AtomicU64,
     /// Connections currently registered with this worker.
@@ -107,8 +110,8 @@ pub struct WorkerGauges {
     pub pending_handoffs: AtomicU64,
 }
 
-/// Shared state of the admin plane: latency shards, exemplars, the
-/// flight recorder, readiness, and per-worker gauges. Cloning shares.
+/// Shared state of the admin plane: exemplars, the flight recorder,
+/// readiness, and per-worker gauges and latency cells. Cloning shares.
 #[derive(Clone)]
 pub struct AdminPlane {
     inner: Arc<PlaneInner>,
@@ -116,7 +119,6 @@ pub struct AdminPlane {
 
 struct PlaneInner {
     telemetry: Telemetry,
-    hist: ShardedWallHistogram,
     exemplars: ExemplarStore,
     recorder: FlightRecorder,
     state: AtomicU8,
@@ -126,32 +128,22 @@ struct PlaneInner {
 
 impl AdminPlane {
     pub fn new(workers: usize, config: &ObsConfig, telemetry: Telemetry) -> AdminPlane {
-        let workers = workers.max(1);
+        let workers = (0..workers.max(1))
+            .map(|_| WorkerGauges {
+                latency: telemetry.metrics().histogram_cell(REQUEST_WALL_US, &[]),
+                ..WorkerGauges::default()
+            })
+            .collect();
         AdminPlane {
             inner: Arc::new(PlaneInner {
                 telemetry,
-                hist: ShardedWallHistogram::new(workers),
                 exemplars: ExemplarStore::new(),
-                recorder: FlightRecorder::new(
-                    config.slow_threshold_us,
-                    config.slow_capacity,
-                    config.reservoir_capacity,
-                ),
+                recorder: FlightRecorder::new(config.slow_threshold_us, config.slow_capacity),
                 state: AtomicU8::new(ReadyState::Starting as u8),
                 probes: Mutex::new(Vec::new()),
-                workers: (0..workers).map(|_| WorkerGauges::default()).collect(),
+                workers,
             }),
         }
-    }
-
-    /// The latency histogram shard worker `i` records into.
-    pub fn shard(&self, i: usize) -> Arc<ogsa_telemetry::WallHistogram> {
-        self.inner.hist.shard(i)
-    }
-
-    /// The merged (all-shards) latency snapshot, as `/metrics` sees it.
-    pub fn merged_latency(&self) -> ogsa_telemetry::WallSnapshot {
-        self.inner.hist.merged()
     }
 
     pub fn recorder(&self) -> &FlightRecorder {
@@ -227,24 +219,20 @@ impl AdminPlane {
         }
     }
 
-    /// The full `/metrics` body: registry counters/histograms/gauges plus
-    /// the merged request-latency histogram with exemplars.
+    /// The full `/metrics` body: one gathered registry snapshot with this
+    /// plane's gauges and request-latency exemplars.
     pub fn render_metrics(&self) -> String {
         let mut snap = self.inner.telemetry.metrics().gather();
         self.fill_gauges(&mut snap);
-        let mut out = render(&snap);
-        out.push_str(&render_wall_histogram(
-            "serve.request_wall_us",
-            &[],
-            &self.inner.hist.merged(),
-            Some(&self.inner.exemplars.snapshot()),
-        ));
-        out
+        snap.exemplars
+            .insert(REQUEST_WALL_US.to_owned(), self.inner.exemplars.snapshot());
+        render(&snap)
     }
 
     /// The `/vars` body: a JSON snapshot of the live serving gauges.
+    /// `requests` counts this server's own latency cells only.
     pub fn vars_json(&self) -> String {
-        let merged = self.inner.hist.merged();
+        let requests: u64 = self.inner.workers.iter().map(|w| w.latency.count()).sum();
         let mut out = String::with_capacity(512);
         out.push_str("{\"state\":\"");
         out.push_str(match self.state() {
@@ -259,7 +247,7 @@ impl AdminPlane {
             "false"
         });
         out.push_str(",\"requests\":");
-        out.push_str(&merged.count.to_string());
+        out.push_str(&requests.to_string());
         out.push_str(",\"flight_traces\":");
         out.push_str(&self.inner.recorder.len().to_string());
         out.push_str(",\"slow_threshold_us\":");
@@ -414,8 +402,8 @@ mod tests {
     #[test]
     fn vars_json_counts_recorded_requests() {
         let plane = AdminPlane::new(2, &ObsConfig::default(), Telemetry::disabled());
-        plane.shard(0).record(100);
-        plane.shard(1).record(20_000);
+        plane.worker(0).latency.record(100);
+        plane.worker(1).latency.record(20_000);
         plane.worker(1).connections.store(3, Ordering::Relaxed);
         let vars = plane.vars_json();
         assert!(vars.contains("\"requests\":2"), "got: {vars}");
@@ -427,7 +415,7 @@ mod tests {
     fn metrics_render_includes_latency_histogram_and_worker_gauges() {
         let plane = AdminPlane::new(2, &ObsConfig::default(), Telemetry::disabled());
         plane.set_state(ReadyState::Ready);
-        plane.shard(0).record(150);
+        plane.worker(0).latency.record(150);
         plane.worker(0).wakeups.store(7, Ordering::Relaxed);
         let text = plane.render_metrics();
         assert!(

@@ -12,7 +12,7 @@
 //!   latency is measured from the *scheduled* arrival, so queueing delay
 //!   is charged to the server the way an outside observer would see it.
 //!
-//! Latencies land in the server's own [`WallHistogram`] (HDR-style log
+//! Latencies land in the same [`Histogram`] the server records into (log
 //! buckets, ≤ ~3% relative error) so p50/p99/p999 come out of a fixed
 //! table no matter how many requests run.
 
@@ -21,7 +21,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use ogsa_telemetry::{WallHistogram, WallSnapshot};
+use ogsa_telemetry::{Histogram, HistogramSnapshot};
 
 /// How requests are issued.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -262,7 +262,7 @@ pub fn run(config: &LoadConfig) -> io::Result<LoadReport> {
 fn finish(
     config: &LoadConfig,
     established: usize,
-    hist: &WallSnapshot,
+    hist: &HistogramSnapshot,
     errors: u64,
     measured: Duration,
 ) -> LoadReport {
@@ -312,7 +312,7 @@ mod imp {
         let start = Instant::now();
         let measure_from = start + config.warmup;
         let deadline = measure_from + config.duration;
-        let hist = WallHistogram::new();
+        let hist = Histogram::default();
         let mut errors = 0u64;
 
         // Closed loop: prime one request per connection. Open loop: the
@@ -477,7 +477,7 @@ mod imp {
         template: &[u8],
         open_loop: bool,
         measure_from: Instant,
-        hist: &WallHistogram,
+        hist: &Histogram,
         errors: &mut u64,
     ) {
         // Read everything available.
@@ -556,7 +556,7 @@ mod imp {
             let addr = config.addr;
             let template = template.to_vec();
             threads.push(std::thread::spawn(move || {
-                let hist = WallHistogram::new();
+                let hist = Histogram::default();
                 let mut errors = 0u64;
                 let Ok(mut stream) = TcpStream::connect(addr) else {
                     return (hist.snapshot(), 1u64, false);
@@ -609,7 +609,7 @@ mod imp {
                 (hist.snapshot(), errors, true)
             }));
         }
-        let mut hist = WallSnapshot::empty();
+        let mut hist = HistogramSnapshot::default();
         let mut errors = 0u64;
         let mut established = 0usize;
         for t in threads {

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ogsa_soap::Envelope;
-use ogsa_telemetry::{wall_now_us, Counter, MetricsRegistry, SpanKind, WallHistogram};
+use ogsa_telemetry::{wall_now_us, Counter, Histogram, MetricsRegistry, SpanKind};
 use ogsa_transport::Network;
 
 use crate::admin::{AdminDispatcher, AdminPlane, ObsConfig, ReadyState};
@@ -49,7 +49,7 @@ pub struct ServeConfig {
     /// Scheme used to reconstruct the bound address (`http` unless the
     /// container was deployed with a TLS policy).
     pub scheme: String,
-    /// Live observability plane (admin port, wall-clock latency shards,
+    /// Live observability plane (admin port, wall-clock latency cells,
     /// flight recorder). On by default; [`ObsConfig::disabled`] is the
     /// instrumentation-stripped ablation.
     pub observe: ObsConfig,
@@ -126,12 +126,12 @@ impl ServeStats {
     }
 }
 
-/// Per-worker observability hooks: the latency shard this worker records
+/// Per-worker observability hooks: the latency cell this worker records
 /// into plus shared plane handles. `None` when the plane is disabled —
 /// the stripped dispatch path then touches no wall clocks at all.
 struct WorkerObs {
     plane: AdminPlane,
-    shard: Arc<WallHistogram>,
+    latency: Histogram,
     /// Scratch copy of the request target, taken before dispatch borrows
     /// the read buffer, so a retained flight trace can own it.
     target_buf: String,
@@ -185,7 +185,7 @@ impl Dispatch for Dispatcher {
         };
         // The instrumented path brackets the handler with a wall-clock
         // read on each side and a span capture; all sinks are per-worker
-        // shards or lock-on-retention rings, so nothing here serialises
+        // cells or lock-on-retention rings, so nothing here serialises
         // workers against each other.
         obs.target_buf.clear();
         obs.target_buf
@@ -196,7 +196,7 @@ impl Dispatch for Dispatcher {
         self.handle(req, keep_alive, out);
         let latency_us = wall_now_us().saturating_sub(t0);
         let spans = tel.end_capture();
-        obs.shard.record(latency_us);
+        obs.latency.record(latency_us);
         let slow = latency_us >= obs.plane.recorder().threshold_us();
         if let Some(seq) = obs
             .plane
@@ -393,7 +393,6 @@ mod platform {
 
     use super::*;
     use crate::epoll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
-    use ogsa_sim::SimDuration;
     use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::net::SocketAddr;
@@ -454,27 +453,18 @@ mod platform {
             shared.push(ws.clone());
             let obs = plane.as_ref().map(|p| WorkerObs {
                 plane: p.clone(),
-                shard: p.shard(i),
+                latency: p.worker(i).latency.clone(),
                 target_buf: String::with_capacity(64),
             });
             let dispatcher = Dispatcher::new(net.clone(), config, stats.clone(), obs);
             let admin_dispatcher = plane.as_ref().map(|p| AdminDispatcher::new(p.clone()));
             let worker_plane = plane.clone();
             let shutdown = shutdown.clone();
-            let metrics = net.telemetry().metrics().clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ogsa-serve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(
-                            ws,
-                            i,
-                            dispatcher,
-                            admin_dispatcher,
-                            worker_plane,
-                            shutdown,
-                            metrics,
-                        )
+                        worker_loop(ws, i, dispatcher, admin_dispatcher, worker_plane, shutdown)
                     })?,
             );
         }
@@ -597,7 +587,6 @@ mod platform {
         admin: bool,
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         shared: Arc<WorkerShared>,
         index: usize,
@@ -605,7 +594,6 @@ mod platform {
         mut admin_dispatcher: Option<AdminDispatcher>,
         plane: Option<AdminPlane>,
         shutdown: Arc<AtomicBool>,
-        metrics: ogsa_telemetry::MetricsRegistry,
     ) {
         let Ok(ep) = Epoll::new() else { return };
         if ep.add(shared.wake.raw(), EPOLLIN, WAKE).is_err() {
@@ -633,11 +621,6 @@ mod platform {
                     let fresh = std::mem::take(&mut *shared.inbox.lock());
                     // Depth of the hand-off queue at wake: how far the
                     // acceptor ran ahead of this worker.
-                    metrics.observe(
-                        "serve.queue_depth",
-                        &[],
-                        SimDuration::from_micros(fresh.len() as u64),
-                    );
                     if let Some(g) = gauges {
                         g.queue_depth.store(fresh.len() as u64, Ordering::Relaxed);
                         g.pending_handoffs.store(0, Ordering::Relaxed);
@@ -787,7 +770,7 @@ mod platform {
                         stats.accepted.inc();
                         let obs = plane.as_ref().map(|p| WorkerObs {
                             plane: p.clone(),
-                            shard: p.shard(0),
+                            latency: p.worker(0).latency.clone(),
                             target_buf: String::with_capacity(64),
                         });
                         let mut dispatcher =
@@ -1043,6 +1026,90 @@ mod tests {
         let plane = server.plane().unwrap();
         assert!(!plane.recorder().is_empty());
         assert!(plane.recorder().dump().iter().all(|t| t.slow));
+    }
+
+    #[test]
+    fn admin_metrics_render_one_network_wide_latency_family_with_exemplars() {
+        // Two servers share one network; only `a` has the plane on. Its
+        // /metrics renders every series from one gathered snapshot, and
+        // its /vars counts only its own latency cells.
+        let net = echo_net();
+        net.bind(
+            "http://host-a/services/slow",
+            StdArc::new(|req: Envelope| {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                Envelope::new(req.body)
+            }),
+        );
+        let a = Server::bind(
+            &net,
+            ServeConfig {
+                observe: ObsConfig {
+                    slow_threshold_us: 20_000,
+                    ..ObsConfig::default()
+                },
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let b = Server::bind(
+            &net,
+            ServeConfig {
+                observe: ObsConfig::disabled(),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        for (server, target) in [
+            (&b, "/services/echo"),
+            (&a, "/services/echo"),
+            (&b, "/services/echo"),
+            (&a, "/services/echo"),
+            (&b, "/services/echo"),
+            (&a, "/services/slow"),
+        ] {
+            let text = raw_request(server.addr(), &soap_request(target, false));
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
+        }
+
+        let admin = a.admin_addr().unwrap();
+        let metrics = raw_request(admin, &get_request("/metrics"));
+        let body = metrics.split("\r\n\r\n").nth(1).unwrap();
+        assert_eq!(
+            body.matches("# TYPE serve_request_wall_us histogram")
+                .count(),
+            1,
+            "got: {body}"
+        );
+        let exp = ogsa_telemetry::prometheus::parse_exposition(body).expect("scrape parses");
+        exp.check_histograms().expect("histograms consistent");
+        assert_eq!(exp.get("serve_requests", &[]).unwrap().value, 6.0);
+        let count = exp.get("serve_request_wall_us_count", &[]).unwrap();
+        assert_eq!(count.value, 3.0, "only plane-enabled workers own cells");
+
+        // The slow request's exemplar sits on its bucket's line.
+        let slow = a
+            .plane()
+            .unwrap()
+            .recorder()
+            .dump()
+            .into_iter()
+            .find(|t| t.target == "/services/slow")
+            .expect("slow request retained");
+        let le = ogsa_telemetry::histogram::WALL_PROM_BUCKETS_US
+            .get(ogsa_telemetry::histogram::prom_bucket_of(slow.latency_us))
+            .map_or_else(|| "+Inf".to_owned(), u64::to_string);
+        let line = body
+            .lines()
+            .find(|l| l.starts_with(&format!("serve_request_wall_us_bucket{{le=\"{le}\"}}")))
+            .expect("bucket line");
+        assert!(
+            line.ends_with(&format!("# {{seq=\"{}\"}} {}", slow.seq, slow.latency_us)),
+            "got: {line}"
+        );
+
+        let vars = raw_request(admin, &get_request("/vars"));
+        assert!(vars.contains("\"requests\":3,"), "got: {vars}");
     }
 
     #[test]

@@ -133,7 +133,9 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
     )
 }
 
-/// Metrics snapshot as JSON: counters object plus histogram summaries.
+/// Metrics snapshot as JSON: counters object plus histogram summaries
+/// (cumulative counts per [`crate::histogram::WALL_PROM_BUCKETS_US`]
+/// bound, `+Inf` last).
 pub fn metrics_to_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::from("{\"counters\":{");
     for (i, (k, v)) in snap.counters.iter().enumerate() {
@@ -147,13 +149,12 @@ pub fn metrics_to_json(snap: &MetricsSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
+        let buckets: Vec<String> = h.prom_cumulative().iter().map(u64::to_string).collect();
         out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"sum_us\":{},\"min_us\":{},\"max_us\":{},\"buckets\":[{}]}}",
+            "\"{}\":{{\"count\":{},\"sum_us\":{},\"max_us\":{},\"buckets\":[{}]}}",
             json_escape(k),
             h.count,
             h.sum_us,
-            if h.count == 0 { 0 } else { h.min_us },
             h.max_us,
             buckets.join(",")
         ));
@@ -242,7 +243,9 @@ mod tests {
         m.observe("invoke_ms", &[], SimDuration::from_micros(400));
         let out = metrics_to_json(&m.snapshot());
         assert!(out.contains("\"oneway.dead_letters{reason=partition}\":1"));
-        assert!(out.contains("\"invoke_ms\":{\"count\":1,\"sum_us\":400"));
+        assert!(out.contains(
+            "\"invoke_ms\":{\"count\":1,\"sum_us\":400,\"max_us\":400,\"buckets\":[0,0,0,1,1,"
+        ));
     }
 
     #[test]

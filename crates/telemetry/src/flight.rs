@@ -28,7 +28,7 @@ use crate::wallclock::wall_now_us;
 pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 /// Default capacity of the slow-trace ring.
 pub const DEFAULT_SLOW_CAPACITY: usize = 64;
-/// Default size of the fast-traffic reservoir.
+/// Size of the fast-traffic reservoir.
 pub const DEFAULT_RESERVOIR_CAPACITY: usize = 32;
 
 /// One retained request trace.
@@ -58,7 +58,7 @@ pub struct FlightRecorder {
 
 #[derive(Debug)]
 struct FlightInner {
-    threshold_us: AtomicU64,
+    threshold_us: u64,
     /// Retention sequence counter (also stamps reservoir picks).
     seq: AtomicU64,
     /// Fast offers seen since the last [`FlightRecorder::drain`] — the `n`
@@ -69,44 +69,33 @@ struct FlightInner {
     rng: AtomicU64,
     slow_capacity: usize,
     slow: Mutex<VecDeque<FlightTrace>>,
-    reservoir_capacity: usize,
     reservoir: Mutex<Vec<FlightTrace>>,
 }
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        FlightRecorder::new(
-            DEFAULT_SLOW_THRESHOLD_US,
-            DEFAULT_SLOW_CAPACITY,
-            DEFAULT_RESERVOIR_CAPACITY,
-        )
+        FlightRecorder::new(DEFAULT_SLOW_THRESHOLD_US, DEFAULT_SLOW_CAPACITY)
     }
 }
 
 impl FlightRecorder {
-    pub fn new(threshold_us: u64, slow_capacity: usize, reservoir_capacity: usize) -> Self {
+    pub fn new(threshold_us: u64, slow_capacity: usize) -> Self {
         FlightRecorder {
             inner: Arc::new(FlightInner {
-                threshold_us: AtomicU64::new(threshold_us),
+                threshold_us,
                 seq: AtomicU64::new(1),
                 fast_seen: AtomicU64::new(0),
                 rng: AtomicU64::new(0x9e37_79b9_7f4a_7c15),
                 slow_capacity: slow_capacity.max(1),
                 slow: Mutex::new(VecDeque::with_capacity(slow_capacity.max(1))),
-                reservoir_capacity: reservoir_capacity.max(1),
-                reservoir: Mutex::new(Vec::with_capacity(reservoir_capacity.max(1))),
+                reservoir: Mutex::new(Vec::with_capacity(DEFAULT_RESERVOIR_CAPACITY)),
             }),
         }
     }
 
     /// The current slow threshold in wall microseconds.
     pub fn threshold_us(&self) -> u64 {
-        self.inner.threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Reconfigure the slow threshold at runtime.
-    pub fn set_threshold_us(&self, us: u64) {
-        self.inner.threshold_us.store(us, Ordering::Relaxed);
+        self.inner.threshold_us
     }
 
     fn next_rand(&self) -> u64 {
@@ -145,7 +134,7 @@ impl FlightRecorder {
         // reservoir while it has room, then replaces a uniformly random
         // slot with probability capacity/k.
         let k = self.inner.fast_seen.fetch_add(1, Ordering::Relaxed) + 1;
-        let cap = self.inner.reservoir_capacity as u64;
+        let cap = DEFAULT_RESERVOIR_CAPACITY as u64;
         let slot = if k <= cap {
             (k - 1) as usize
         } else {
@@ -277,19 +266,25 @@ mod tests {
 
     #[test]
     fn slow_requests_are_always_retained() {
-        let fr = FlightRecorder::new(1_000, 4, 2);
+        let fr = FlightRecorder::new(1_000, 4);
+        assert_eq!(fr.threshold_us(), 1_000);
+        let mut seqs = Vec::new();
         for i in 0..10u64 {
             let seq = fr.offer(5_000 + i, "/svc", rec(i));
             assert!(seq.is_some(), "slow request {i} must be retained");
+            seqs.extend(seq);
         }
         let slow: Vec<_> = fr.dump().into_iter().filter(|t| t.slow).collect();
         assert_eq!(slow.len(), 4, "ring keeps the most recent 4");
         assert!(slow.iter().all(|t| t.latency_us >= 5_006));
+        assert!(fr.contains_seq(seqs[9]));
+        assert!(!fr.contains_seq(seqs[0]), "evicted from the ring");
+        assert!(!fr.contains_seq(seqs[9] + 999));
     }
 
     #[test]
     fn fast_requests_fill_a_bounded_reservoir() {
-        let fr = FlightRecorder::new(1_000_000, 4, 8);
+        let fr = FlightRecorder::new(1_000_000, 4);
         let mut retained = 0;
         for i in 0..1_000u64 {
             if fr.offer(10, "/svc", rec(i)).is_some() {
@@ -297,26 +292,22 @@ mod tests {
             }
         }
         let dump = fr.dump();
-        assert_eq!(dump.len(), 8, "reservoir is bounded");
+        assert_eq!(
+            dump.len(),
+            DEFAULT_RESERVOIR_CAPACITY,
+            "reservoir is bounded"
+        );
         assert!(dump.iter().all(|t| !t.slow));
-        assert!(retained >= 8, "at least the fills were retained");
+        assert!(
+            retained >= DEFAULT_RESERVOIR_CAPACITY,
+            "at least the fills were retained"
+        );
         assert!(retained < 1_000, "most offers are sampled away");
     }
 
     #[test]
-    fn threshold_is_runtime_configurable() {
-        let fr = FlightRecorder::new(1_000, 4, 4);
-        assert_eq!(fr.threshold_us(), 1_000);
-        fr.set_threshold_us(10);
-        let seq = fr.offer(50, "/svc", rec(1)).unwrap();
-        assert!(fr.dump().iter().any(|t| t.seq == seq && t.slow));
-        assert!(fr.contains_seq(seq));
-        assert!(!fr.contains_seq(seq + 999));
-    }
-
-    #[test]
     fn dump_json_parses_shape() {
-        let fr = FlightRecorder::new(100, 4, 4);
+        let fr = FlightRecorder::new(100, 4);
         fr.offer(500, "/a\"b", rec(1));
         fr.offer(10, "/fast", rec(2));
         let json = fr.to_json();
@@ -330,7 +321,7 @@ mod tests {
 
     #[test]
     fn drain_resets_the_window() {
-        let fr = FlightRecorder::new(100, 4, 4);
+        let fr = FlightRecorder::new(100, 4);
         fr.offer(500, "/s", rec(1));
         fr.offer(10, "/f", rec(2));
         let drained = fr.drain();

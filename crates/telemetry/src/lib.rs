@@ -15,8 +15,9 @@
 //!   else. Under the network's synchronous-delivery mode a whole run is
 //!   single-threaded, so two runs of the same seed produce byte-identical
 //!   span dumps.
-//! * [`MetricsRegistry`] keeps monotonic counters and virtual-time latency
-//!   histograms keyed by `name{label=value,...}` series.
+//! * [`MetricsRegistry`] keeps monotonic counters and latency histograms
+//!   (one [`Histogram`] type for virtual and wall microseconds alike)
+//!   keyed by `name{label=value,...}` series.
 //! * [`export`] renders Chrome-trace JSON (load in `chrome://tracing` /
 //!   Perfetto), sorted JSONL span dumps, and metrics JSON; [`analysis`]
 //!   folds a span forest into per-kind self-time — the db/security/wire
@@ -28,18 +29,16 @@ mod span;
 pub mod analysis;
 pub mod export;
 pub mod flight;
+pub mod histogram;
 pub mod prometheus;
 pub mod wallclock;
 pub mod wire;
 
 pub use flight::{FlightRecorder, FlightTrace};
-pub use metrics::{
-    series_key, Counter, Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_US,
-};
+pub use histogram::{Histogram, HistogramSnapshot};
+pub use metrics::{series_key, Counter, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanEvent, SpanId, SpanKind, SpanRecord, TraceId};
-pub use wallclock::{
-    wall_now_us, Exemplar, ExemplarStore, ShardedWallHistogram, WallHistogram, WallSnapshot,
-};
+pub use wallclock::{wall_now_us, Exemplar, ExemplarStore};
 
 use std::cell::RefCell;
 use std::collections::HashMap;

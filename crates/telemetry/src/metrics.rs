@@ -1,15 +1,18 @@
-//! The metrics registry: monotonic counters and virtual-time latency
-//! histograms, keyed by name plus sorted labels.
+//! The metrics registry: monotonic counters and latency histograms, keyed
+//! by name plus sorted labels.
 //!
 //! Keys render to the conventional `name{k=v,...}` form and live in
 //! `BTreeMap`s, so snapshots iterate in a deterministic order — two runs of
 //! the same seed serialise to identical JSON.
 //!
-//! A counter series is the sum of its [`Counter`] cells. Typed stats
-//! structs own cells resolved when they are built: per-object values
-//! without a key or a lock per add, while the series keeps the total.
-//! Cells are independent atomics, so a snapshot is exact once the writers
-//! are done (threads joined, `Network::quiesce`/`drain` returned).
+//! Both metric kinds follow one rule: a series is the sum of its cells
+//! ([`Counter`]s, or [`Histogram`]s merged bucket-wise) plus what the
+//! name-resolving shortcut (`inc`/`add`, `observe`) recorded. Typed stats
+//! structs and serving workers own cells resolved when they are built:
+//! per-owner values without a key or a lock per record, while the series
+//! keeps the total. Cells are independent atomics, so a snapshot is exact
+//! once the writers are done (threads joined, `Network::quiesce`/`drain`
+//! returned).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,70 +21,27 @@ use std::sync::Arc;
 use ogsa_sim::SimDuration;
 use parking_lot::Mutex;
 
-/// Histogram bucket upper bounds, in virtual microseconds. Chosen to bracket
-/// the paper's operation range: sub-millisecond cache hits up to multi-second
-/// X.509 grid steps.
-pub const LATENCY_BUCKETS_US: [u64; 12] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
-];
-
-/// A fixed-bucket latency histogram over virtual time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    pub count: u64,
-    pub sum_us: u64,
-    pub min_us: u64,
-    pub max_us: u64,
-    /// One count per bound in [`LATENCY_BUCKETS_US`], plus an overflow slot.
-    pub buckets: [u64; LATENCY_BUCKETS_US.len() + 1],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum_us: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-            buckets: [0; LATENCY_BUCKETS_US.len() + 1],
-        }
-    }
-}
-
-impl Histogram {
-    fn observe(&mut self, us: u64) {
-        self.count += 1;
-        self.sum_us += us;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-        let idx = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        self.buckets[idx] += 1;
-    }
-
-    /// Mean observation in virtual milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64 / 1000.0
-        }
-    }
-}
+use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::wallclock::Exemplar;
 
 /// A point-in-time copy of every counter and histogram.
 ///
 /// `gauges` is populated only by [`MetricsRegistry::gather`] (set gauges +
-/// registered collectors): the deterministic [`MetricsRegistry::snapshot`]
-/// path never touches live-observability state, so same-seed metric dumps
-/// stay byte-identical whether or not an admin plane is scraping.
+/// registered collectors) and `exemplars` only by the scraper: the
+/// deterministic [`MetricsRegistry::snapshot`] path never touches
+/// live-observability state, so same-seed metric dumps stay byte-identical
+/// whether or not an admin plane is scraping. (A plane-enabled server does
+/// register wall-clock `serve.request_wall_us` cells, so byte-identical
+/// dumps come from testbeds without one.)
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
     pub gauges: BTreeMap<String, u64>,
+    /// Exemplars per histogram series key, one slot per coarse bucket
+    /// (the [`crate::ExemplarStore::snapshot`] layout); set at scrape time
+    /// only, like gauges.
+    pub exemplars: BTreeMap<String, Vec<Option<Exemplar>>>,
 }
 
 impl MetricsSnapshot {
@@ -151,18 +111,59 @@ impl Counter {
     }
 }
 
-/// A counter series: what the `inc`/`add` shortcut added, plus every cell
+/// A series: what the name-resolving shortcut recorded, plus every cell
 /// registered under the same key.
 #[derive(Debug, Default)]
-struct Series {
-    shortcut: u64,
-    cells: Vec<Counter>,
+struct Series<C> {
+    shortcut: C,
+    cells: Vec<C>,
 }
 
-impl Series {
-    fn value(&self) -> u64 {
-        self.cells.iter().map(Counter::get).sum::<u64>() + self.shortcut
+impl<C> Series<C> {
+    fn all(&self) -> impl Iterator<Item = &C> {
+        std::iter::once(&self.shortcut).chain(&self.cells)
     }
+}
+
+impl Series<Counter> {
+    fn value(&self) -> u64 {
+        self.all().map(Counter::get).sum()
+    }
+}
+
+impl Series<Histogram> {
+    fn merged(&self) -> HistogramSnapshot {
+        let mut out = HistogramSnapshot::default();
+        for h in self.all() {
+            out.merge(&h.snapshot());
+        }
+        out
+    }
+}
+
+type SeriesMap<C> = Mutex<BTreeMap<String, Series<C>>>;
+
+/// Register a new cell under a series (which appears, empty, from now on).
+fn register<C: Clone + Default>(map: &SeriesMap<C>, name: &str, labels: &[(&str, &str)]) -> C {
+    let cell = C::default();
+    map.lock()
+        .entry(series_key(name, labels))
+        .or_default()
+        .cells
+        .push(cell.clone());
+    cell
+}
+
+/// Apply `f` to a series' shortcut cell, resolving its key under the
+/// registry lock.
+fn shortcut<C: Default>(
+    map: &SeriesMap<C>,
+    name: &str,
+    labels: &[(&str, &str)],
+    f: impl FnOnce(&C),
+) {
+    let mut series = map.lock();
+    f(&series.entry(series_key(name, labels)).or_default().shortcut);
 }
 
 /// Shared registry of counters and histograms. Cloning shares the store.
@@ -173,8 +174,8 @@ pub struct MetricsRegistry {
 
 #[derive(Default)]
 struct MetricsInner {
-    counters: Mutex<BTreeMap<String, Series>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    counters: SeriesMap<Counter>,
+    histograms: SeriesMap<Histogram>,
     /// Last-write-wins point-in-time values; only surfaced by `gather`.
     gauges: Mutex<BTreeMap<String, u64>>,
     /// Scrape-time contributors; only run by `gather`.
@@ -222,15 +223,13 @@ impl MetricsRegistry {
     /// Register a new cell under a counter series (which appears, at 0,
     /// from now on) and hand it to its owner.
     pub fn cell(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let cell = Counter::default();
-        self.inner
-            .counters
-            .lock()
-            .entry(series_key(name, labels))
-            .or_default()
-            .cells
-            .push(cell.clone());
-        cell
+        register(&self.inner.counters, name, labels)
+    }
+
+    /// Register a new cell under a histogram series (which appears, empty,
+    /// from now on) and hand it to its owner.
+    pub fn histogram_cell(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+        register(&self.inner.histograms, name, labels)
     }
 
     /// Add 1 to a counter series.
@@ -241,12 +240,16 @@ impl MetricsRegistry {
     /// Add `delta` to a counter series, resolving its key under the
     /// registry lock: for cold sites with dynamic labels.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        self.inner
-            .counters
-            .lock()
-            .entry(series_key(name, labels))
-            .or_default()
-            .shortcut += delta;
+        shortcut(&self.inner.counters, name, labels, |c| c.add(delta));
+    }
+
+    /// Record one virtual-time observation in a histogram series,
+    /// resolving its key under the registry lock: for cold sites with
+    /// dynamic labels.
+    pub fn observe(&self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
+        shortcut(&self.inner.histograms, name, labels, |h| {
+            h.record(d.as_micros())
+        });
     }
 
     /// Current value of a counter series.
@@ -268,25 +271,6 @@ impl MetricsRegistry {
             .filter(|(k, _)| in_family(k, name))
             .map(|(_, s)| s.value())
             .sum()
-    }
-
-    /// Record one virtual-time observation in a histogram series.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        self.inner
-            .histograms
-            .lock()
-            .entry(series_key(name, labels))
-            .or_default()
-            .observe(d.as_micros());
-    }
-
-    /// Current state of a histogram series, if it has observations.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        self.inner
-            .histograms
-            .lock()
-            .get(&series_key(name, labels))
-            .cloned()
     }
 
     /// Set a gauge series to a point-in-time value (last write wins).
@@ -316,10 +300,17 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, s)| (k.clone(), s.value()))
             .collect();
+        let histograms = self
+            .inner
+            .histograms
+            .lock()
+            .iter()
+            .map(|(k, s)| (k.clone(), s.merged()))
+            .collect();
         MetricsSnapshot {
             counters,
-            histograms: self.inner.histograms.lock().clone(),
-            gauges: BTreeMap::new(),
+            histograms,
+            ..MetricsSnapshot::default()
         }
     }
 
@@ -369,19 +360,26 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_mean() {
+    fn a_histogram_series_merges_its_cells_and_shortcut() {
         let m = MetricsRegistry::new();
+        let a = m.histogram_cell("lat", &[]);
+        let b = m.histogram_cell("lat", &[]);
+        let other = m.histogram_cell("lat", &[("worker", "1")]);
+        assert_eq!(m.snapshot().histograms["lat"].count, 0, "registered empty");
+        a.record(50);
+        b.record(900);
+        m.observe("lat", &[], SimDuration::from_micros(2_000_000));
+        other.record(7);
+        assert_eq!((a.count(), b.count()), (1, 1), "each cell is per owner");
+
+        let h = &m.snapshot().histograms["lat"];
+        assert_eq!((h.count, h.sum_us, h.max_us), (3, 2_000_950, 2_000_000));
+        let global = Histogram::default();
         for us in [50, 900, 2_000_000] {
-            m.observe("lat", &[], SimDuration::from_micros(us));
+            global.record(us);
         }
-        let h = m.histogram("lat", &[]).unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min_us, 50);
-        assert_eq!(h.max_us, 2_000_000);
-        assert_eq!(h.buckets[0], 1); // <=100
-        assert_eq!(h.buckets[3], 1); // <=1000
-        assert_eq!(h.buckets[LATENCY_BUCKETS_US.len()], 1); // overflow
-        assert!((h.mean_ms() - (2_000_950.0 / 3.0 / 1000.0)).abs() < 1e-9);
+        assert_eq!(*h, global.snapshot());
+        assert_eq!(m.snapshot().histograms["lat{worker=1}"].count, 1);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! module splits those keys back into name + labels, sanitises metric
 //! names to the Prometheus charset, escapes label values (`\\`, `"`,
 //! `\n`), and renders counters, gauges, and histograms (cumulative `le`
-//! buckets, `+Inf`, `_sum`, `_count`). Wall-clock histograms render with
-//! OpenMetrics-style exemplars linking a bucket to a flight-recorder
-//! trace sequence number.
+//! buckets on the [`WALL_PROM_BUCKETS_US`] ladder, `+Inf`, `_sum`,
+//! `_count`). A histogram series with exemplars renders them
+//! OpenMetrics-style, linking a bucket to a flight-recorder trace
+//! sequence number.
 //!
 //! Everything is hand-rolled — the offline build has no serde and no
 //! prometheus crate — and the parser is deliberately strict: a scrape
@@ -16,8 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::metrics::{MetricsSnapshot, LATENCY_BUCKETS_US};
-use crate::wallclock::{Exemplar, WallSnapshot, WALL_PROM_BUCKETS_US};
+use crate::histogram::WALL_PROM_BUCKETS_US;
+use crate::metrics::MetricsSnapshot;
 
 /// Escape a label value per the text exposition format: backslash, double
 /// quote, and line feed.
@@ -99,8 +100,10 @@ fn grouped<V>(map: &BTreeMap<String, V>) -> BTreeMap<String, Vec<(&str, &V)>> {
 
 /// Render a full snapshot (typically [`crate::MetricsRegistry::gather`])
 /// as Prometheus text exposition. Counters render as `counter`, gauges as
-/// `gauge`, virtual-time histograms as `histogram` with microsecond `le`
-/// bounds.
+/// `gauge`, histograms as `histogram` with microsecond `le` bounds. A
+/// bucket whose latest slow request the flight recorder retained carries
+/// `# {seq="N"} <latency_us>` (from [`MetricsSnapshot::exemplars`]), so a
+/// scrape links straight to the `/debug/trace` entry.
 pub fn render(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, series) in grouped(&snap.counters) {
@@ -125,18 +128,20 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         out.push_str(&format!("# TYPE {name} histogram\n"));
         for (key, h) in series {
             let (_, labels) = split_series_key(key);
-            let mut acc = 0u64;
-            for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-                acc += h.buckets[i];
+            let exemplars = snap.exemplars.get(key).map(Vec::as_slice);
+            for (i, count) in h.prom_cumulative().into_iter().enumerate() {
+                let le = WALL_PROM_BUCKETS_US
+                    .get(i)
+                    .map_or_else(|| "+Inf".to_owned(), u64::to_string);
                 out.push_str(&name);
                 out.push_str("_bucket");
-                render_labels(&mut out, &labels, Some(("le", &bound.to_string())));
-                out.push_str(&format!(" {acc}\n"));
+                render_labels(&mut out, &labels, Some(("le", &le)));
+                out.push_str(&format!(" {count}"));
+                if let Some(ex) = exemplars.and_then(|slots| slots.get(i)).and_then(|e| *e) {
+                    out.push_str(&format!(" # {{seq=\"{}\"}} {}", ex.seq, ex.latency_us));
+                }
+                out.push('\n');
             }
-            out.push_str(&name);
-            out.push_str("_bucket");
-            render_labels(&mut out, &labels, Some(("le", "+Inf")));
-            out.push_str(&format!(" {}\n", h.count));
             out.push_str(&name);
             out.push_str("_sum");
             render_labels(&mut out, &labels, None);
@@ -147,50 +152,6 @@ pub fn render(snap: &MetricsSnapshot) -> String {
             out.push_str(&format!(" {}\n", h.count));
         }
     }
-    out
-}
-
-/// Render one merged wall-clock histogram with OpenMetrics-style exemplars:
-/// a bucket whose latest slow request was retained by the flight recorder
-/// carries `# {seq="N"} <latency_us>` so a scrape links straight to the
-/// `/debug/trace` entry. `exemplars`, when given, is the
-/// [`crate::ExemplarStore::snapshot`] layout: one slot per coarse bound
-/// plus `+Inf` last.
-pub fn render_wall_histogram(
-    name: &str,
-    labels: &[(&str, &str)],
-    snap: &WallSnapshot,
-    exemplars: Option<&[Option<Exemplar>]>,
-) -> String {
-    let name = sanitize_name(name);
-    let mut out = String::new();
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let cum = snap.prom_cumulative();
-    let bound_label = |i: usize| -> String {
-        if i < WALL_PROM_BUCKETS_US.len() {
-            WALL_PROM_BUCKETS_US[i].to_string()
-        } else {
-            "+Inf".to_owned()
-        }
-    };
-    for (i, &count) in cum.iter().enumerate() {
-        out.push_str(&name);
-        out.push_str("_bucket");
-        render_labels(&mut out, labels, Some(("le", &bound_label(i))));
-        out.push_str(&format!(" {count}"));
-        if let Some(ex) = exemplars.and_then(|slots| slots.get(i)).and_then(|e| *e) {
-            out.push_str(&format!(" # {{seq=\"{}\"}} {}", ex.seq, ex.latency_us));
-        }
-        out.push('\n');
-    }
-    out.push_str(&name);
-    out.push_str("_sum");
-    render_labels(&mut out, labels, None);
-    out.push_str(&format!(" {}\n", snap.sum_us));
-    out.push_str(&name);
-    out.push_str("_count");
-    render_labels(&mut out, labels, None);
-    out.push_str(&format!(" {}\n", snap.count));
     out
 }
 
@@ -473,7 +434,7 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wallclock::{ExemplarStore, WallHistogram};
+    use crate::wallclock::ExemplarStore;
     use crate::MetricsRegistry;
     use ogsa_sim::SimDuration;
 
@@ -563,21 +524,25 @@ mod tests {
     }
 
     #[test]
-    fn wall_histogram_renders_with_exemplars() {
-        let h = WallHistogram::new();
+    fn histogram_renders_with_exemplars() {
+        let m = MetricsRegistry::new();
+        let cell = m.histogram_cell("serve.request_wall_us", &[("listener", "main")]);
         let store = ExemplarStore::new();
         for us in [40u64, 800, 30_000] {
-            h.record(us);
+            cell.record(us);
         }
         store.note(30_000, 17);
-        let text = render_wall_histogram(
-            "serve.request_wall_us",
-            &[("listener", "main")],
-            &h.snapshot(),
-            Some(&store.snapshot()),
+        let mut snap = m.gather();
+        snap.exemplars.insert(
+            "serve.request_wall_us{listener=main}".to_owned(),
+            store.snapshot(),
         );
+        let text = render(&snap);
         assert!(text.contains("# TYPE serve_request_wall_us histogram"));
-        assert!(text.contains("# {seq=\"17\"} 30000"));
+        assert!(text.contains(
+            "serve_request_wall_us_bucket{listener=\"main\",le=\"50000\"} 3 # {seq=\"17\"} 30000\n"
+        ));
+        assert_eq!(text.matches(" # {seq=").count(), 1, "only the noted bucket");
         let exp = parse_exposition(&text).unwrap();
         exp.check_histograms().unwrap();
         assert_eq!(

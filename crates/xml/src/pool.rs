@@ -14,8 +14,8 @@
 //! - The pool is thread-local and lock-free; buffers never migrate between
 //!   threads, so there is no cross-thread contention and no `Send` impl is
 //!   needed.
-//! - Capacity is bounded: the pool keeps at most [`MAX_POOLED`] buffers and
-//!   drops any buffer that grew beyond [`MAX_POOLED_CAPACITY`], so one
+//! - Capacity is bounded: the pool keeps at most `MAX_POOLED` buffers and
+//!   drops any buffer that grew beyond `MAX_POOLED_CAPACITY`, so one
 //!   pathological message cannot pin megabytes for the process lifetime.
 
 use std::cell::RefCell;
